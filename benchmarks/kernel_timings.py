@@ -1,4 +1,4 @@
-"""Kernel-timing emitter: measure engine vs. legacy kernels, write BENCH_kernels.json.
+"""Kernel-timing emitter: measure engine vs. reference kernels, write BENCH_kernels.json.
 
 Run from the repository root (CI does this on every push)::
 
@@ -29,10 +29,9 @@ import numpy as np  # noqa: E402
 
 from repro.backend import backend_availability, get_backend  # noqa: E402
 from repro.engine.cache import DecompositionCache  # noqa: E402
+from repro.engine.context import ExecutionContext, LayerPlan  # noqa: E402
 from repro.engine.kernels import (  # noqa: E402
     TRIAL_SEED_STRIDE,
-    BatchedTiledMatrix,
-    MonteCarloTiledMatrix,
     im2col_columns,
     im2col_columns_loop,
 )
@@ -50,6 +49,12 @@ def best_of(func: Callable[[], object], repeats: int) -> float:
         func()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def programmed(matrix, array, noise, seed, trials=1, backend=None) -> LayerPlan:
+    """``matrix`` programmed ``trials`` times through the engine's plan factory."""
+    ctx = ExecutionContext(array=array, noise=noise, seed=seed, backend=backend)
+    return ctx.plan(matrix, trials=trials)
 
 
 def bench_im2col(repeats: int) -> Dict[str, object]:
@@ -76,11 +81,11 @@ def bench_tiled_mvm(repeats: int) -> Dict[str, object]:
     inputs = rng.standard_normal((1024, 288))
     array = ArrayDims.square(64)
     noise = NoiseModel.typical()
-    batched = BatchedTiledMatrix(matrix, array, noise=noise, seed=3)
+    batched = programmed(matrix, array, noise, seed=3)
     legacy = TiledMatrix(matrix, array, noise=noise, seed=3)
     engine = best_of(lambda: batched.mvm_batch(inputs), repeats)
     reference = best_of(lambda: legacy.mvm_batch(inputs), repeats)
-    max_diff = float(np.abs(batched.mvm_batch(inputs) - legacy.mvm_batch(inputs)).max())
+    max_diff = float(np.abs(batched.mvm_batch(inputs)[0] - legacy.mvm_batch(inputs)).max())
     return {
         "kernel": "tiled_mvm_batch",
         "workload": "128x288 matrix on 64x64 tiles, 1024-vector batch, typical noise",
@@ -98,8 +103,8 @@ def bench_monte_carlo(repeats: int) -> Dict[str, object]:
     scenario subsystem existed: a Python loop that, per trial, re-programs
     the layer through the per-tile oracle simulator path
     (:class:`repro.imc.tiles.TiledMatrix`) and executes the input batch.  A
-    second comparison against a per-trial loop over the *batched* single-trial
-    kernel is reported as ``sequential_batched_seconds`` — the per-trial noise
+    second comparison against a per-trial loop over single-trial plans is
+    reported as ``sequential_batched_seconds`` — the per-trial noise
     sampling streams are serial by the bit-identity contract, so that loop
     bounds the achievable speedup from batching alone.
     """
@@ -111,20 +116,21 @@ def bench_monte_carlo(repeats: int) -> Dict[str, object]:
     trials, seed = 16, 11
 
     def run_batched_mc() -> np.ndarray:
-        mc = MonteCarloTiledMatrix(matrix, array, trials=trials, noise=noise, seed=seed)
-        return mc.mvm_batch(inputs)
+        return programmed(matrix, array, noise, seed, trials=trials).mvm_batch(inputs)
 
-    def run_sequential(backend) -> np.ndarray:
-        outputs = []
-        for trial in range(trials):
-            tiled = backend(matrix, array, noise=noise, seed=seed + trial * TRIAL_SEED_STRIDE)
-            outputs.append(tiled.mvm_batch(inputs))
-        return np.stack(outputs)
+    def oracle_trial(trial_seed: int) -> np.ndarray:
+        return TiledMatrix(matrix, array, noise=noise, seed=trial_seed).mvm_batch(inputs)
+
+    def plan_trial(trial_seed: int) -> np.ndarray:
+        return programmed(matrix, array, noise, trial_seed).mvm_batch(inputs)[0]
+
+    def run_sequential(run_trial) -> np.ndarray:
+        return np.stack([run_trial(seed + trial * TRIAL_SEED_STRIDE) for trial in range(trials)])
 
     engine = best_of(run_batched_mc, repeats)
-    reference = best_of(lambda: run_sequential(TiledMatrix), repeats)
-    sequential_batched = best_of(lambda: run_sequential(BatchedTiledMatrix), repeats)
-    mc = MonteCarloTiledMatrix(matrix, array, trials=trials, noise=noise, seed=seed)
+    reference = best_of(lambda: run_sequential(oracle_trial), repeats)
+    sequential_batched = best_of(lambda: run_sequential(plan_trial), repeats)
+    mc = programmed(matrix, array, noise, seed, trials=trials).stages[0]
     bit_identical = all(
         np.array_equal(
             mc.stored_matrix(trial),
@@ -134,7 +140,7 @@ def bench_monte_carlo(repeats: int) -> Dict[str, object]:
         )
         for trial in range(trials)
     )
-    max_diff = float(np.abs(run_batched_mc() - run_sequential(BatchedTiledMatrix)).max())
+    max_diff = float(np.abs(run_batched_mc() - run_sequential(plan_trial)).max())
     return {
         "kernel": "monte_carlo_trials",
         "workload": "128x288 matrix on 64x64 tiles, 16 trials, 256-vector batch, typical noise",
@@ -242,8 +248,8 @@ def bench_backends(repeats: int) -> List[Dict[str, object]]:
     matrix = rng.standard_normal((512, 1152))
     inputs = rng.standard_normal((1024, 1152))
     array = ArrayDims.square(64)
-    reference = BatchedTiledMatrix(matrix, array, noise=noise, seed=13, backend="numpy64")
-    threaded = BatchedTiledMatrix(matrix, array, noise=noise, seed=13, backend="threaded")
+    reference = programmed(matrix, array, noise, seed=13, backend="numpy64")
+    threaded = programmed(matrix, array, noise, seed=13, backend="threaded")
     t_reference = best_of(lambda: reference.mvm_batch(inputs), repeats)
     t_threaded = best_of(lambda: threaded.mvm_batch(inputs), repeats)
     bit_identical = bool(
@@ -252,7 +258,7 @@ def bench_backends(repeats: int) -> List[Dict[str, object]]:
     large_sweep = {
         "kernel": "threaded_backend_large_sweep",
         "workload": (
-            f"512x1152 matrix on 64x64 tiles ({reference.num_allocated_tiles} stacked), "
+            f"512x1152 matrix on 64x64 tiles ({reference.allocated_tiles} stacked), "
             f"1024-vector batch, typical noise, {get_backend('threaded').max_workers} workers"
         ),
         "engine_seconds": t_threaded,
@@ -264,9 +270,8 @@ def bench_backends(repeats: int) -> List[Dict[str, object]]:
     # Monte-Carlo workload: the robustness sweep's stacked-trial kernel.
     mc_matrix = rng.standard_normal((128, 288))
     mc_inputs = rng.standard_normal((256, 288))
-    mc_kwargs = dict(trials=16, noise=noise, seed=17)
-    mc64 = MonteCarloTiledMatrix(mc_matrix, array, backend="numpy64", **mc_kwargs)
-    mc32 = MonteCarloTiledMatrix(mc_matrix, array, backend="numpy32", **mc_kwargs)
+    mc64 = programmed(mc_matrix, array, noise, seed=17, trials=16, backend="numpy64")
+    mc32 = programmed(mc_matrix, array, noise, seed=17, trials=16, backend="numpy32")
     t_mc64 = best_of(lambda: mc64.mvm_batch(mc_inputs), repeats)
     t_mc32 = best_of(lambda: mc32.mvm_batch(mc_inputs), repeats)
     out64 = mc64.mvm_batch(mc_inputs)
@@ -318,8 +323,8 @@ def bench_compiled(repeats: int) -> List[Dict[str, object]]:
     matrix = rng.standard_normal((512, 1152))
     inputs = rng.standard_normal((1024, 1152))
     array = ArrayDims.square(64)
-    reference = BatchedTiledMatrix(matrix, array, noise=noise, seed=13, backend="numpy64")
-    jitted = BatchedTiledMatrix(matrix, array, noise=noise, seed=13, backend="compiled")
+    reference = programmed(matrix, array, noise, seed=13, backend="numpy64")
+    jitted = programmed(matrix, array, noise, seed=13, backend="compiled")
     jitted.mvm_batch(inputs[:2])  # warm the engine-shaped specialization too
     t_reference = best_of(lambda: reference.mvm_batch(inputs), repeats)
     t_compiled = best_of(lambda: jitted.mvm_batch(inputs), repeats)
@@ -328,7 +333,7 @@ def bench_compiled(repeats: int) -> List[Dict[str, object]]:
     large_rel = float(np.abs(out_jit - out_ref).max() / np.abs(out_ref).max())
     large_sweep = {
         "kernel": "compiled_backend_large_sweep",
-        "workload": f"{large_workload} ({reference.num_allocated_tiles} stacked tiles)",
+        "workload": f"{large_workload} ({reference.allocated_tiles} stacked tiles)",
         "engine_seconds": t_compiled,
         "reference_seconds": t_reference,
         "speedup": t_reference / t_compiled if t_compiled > 0 else None,
@@ -338,9 +343,8 @@ def bench_compiled(repeats: int) -> List[Dict[str, object]]:
 
     mc_matrix = rng.standard_normal((128, 288))
     mc_inputs = rng.standard_normal((256, 288))
-    mc_kwargs = dict(trials=16, noise=noise, seed=17)
-    mc64 = MonteCarloTiledMatrix(mc_matrix, array, backend="numpy64", **mc_kwargs)
-    mc_jit = MonteCarloTiledMatrix(mc_matrix, array, backend="compiled", **mc_kwargs)
+    mc64 = programmed(mc_matrix, array, noise, seed=17, trials=16, backend="numpy64")
+    mc_jit = programmed(mc_matrix, array, noise, seed=17, trials=16, backend="compiled")
     mc_jit.mvm_batch(mc_inputs[:2])
     t_mc64 = best_of(lambda: mc64.mvm_batch(mc_inputs), repeats)
     t_mc_jit = best_of(lambda: mc_jit.mvm_batch(mc_inputs), repeats)

@@ -37,7 +37,7 @@ def test_bench_grouped_plan_block_diagonal(benchmark):
     ctx = ExecutionContext(array=ARRAY, seed=3)
 
     def grouped():
-        return ctx.grouped_conv_plan(kernel, GEOMETRY).run(inputs)
+        return ctx.plan(kernel, GEOMETRY).run(inputs)
 
     result = benchmark(grouped)
     assert result.allocated_tiles == tiles_for_grouped_conv(GEOMETRY, ARRAY)
@@ -52,7 +52,7 @@ def test_bench_dense_plan_same_shape(benchmark):
     ctx = ExecutionContext(array=ARRAY, seed=3)
 
     def dense():
-        return ctx.dense_plan(matrix).run(inputs)
+        return ctx.plan(matrix).run(inputs)
 
     result = run_once(benchmark, dense)
     assert result.allocated_tiles > tiles_for_grouped_conv(GEOMETRY, ARRAY)

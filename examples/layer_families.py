@@ -21,12 +21,7 @@ import argparse
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.mapping.geometry import (
-    ArrayDims,
-    AttentionProjectionGeometry,
-    GroupedConvGeometry,
-    layer_family,
-)
+from repro.mapping.geometry import ArrayDims, GroupedConvGeometry, layer_family
 from repro.mapping.grouped import grouped_utilization, tiles_for_grouped_conv
 from repro.mapping.cycles import tiles_for_matrix
 from repro.scenarios import get_scenario, scenario_names
@@ -51,14 +46,6 @@ def random_weight(geometry, rng):
     return rng.normal(0.0, 1.0 / np.sqrt(geometry.n), size=(geometry.m, geometry.n))
 
 
-def plan_for(ctx, geometry, weight, trials):
-    if isinstance(geometry, GroupedConvGeometry):
-        return ctx.grouped_conv_monte_carlo_plan(weight, geometry, trials=trials)
-    if isinstance(geometry, AttentionProjectionGeometry):
-        return ctx.attention_monte_carlo_plan(weight, geometry, trials=trials)
-    return ctx.dense_monte_carlo_plan(weight, trials=trials, geometry=geometry)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=4,
@@ -81,7 +68,9 @@ def main() -> None:
     rows = []
     for family, network, geometry in layers:
         weight = random_weight(geometry, rng)
-        plan = plan_for(ctx, geometry, weight, args.trials)
+        # ctx.plan lowers by geometry type: grouped kernels to their
+        # block-diagonal matrix, attention projections stacked.
+        plan = ctx.plan(weight, geometry, trials=args.trials)
         inputs = rng.standard_normal((16, geometry.n))
         result = plan.run(inputs)
 

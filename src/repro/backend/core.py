@@ -147,9 +147,8 @@ FLOAT32_POLICY = PrecisionPolicy(
 class TileLayout:
     """Static execution metadata of one programmed tiled matrix.
 
-    Built once per :class:`repro.engine.kernels.BatchedTiledMatrix` /
-    ``MonteCarloTiledMatrix`` and handed to :meth:`Backend.tiled_mvm` with
-    every batch: the per-tile input-segment gather indices, output scatter
+    Built once per :class:`repro.engine.kernels.MonteCarloTiledMatrix` and
+    handed to :meth:`Backend.tiled_mvm` with every batch: the per-tile input-segment gather indices, output scatter
     offsets/widths, current-to-weight rescaling factors and the logical
     output width.
     """
@@ -197,10 +196,9 @@ class Backend:
     def batched_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Stacked matmul over leading (broadcastable) batch axes.
 
-        The engine's hot path: ``(T, batch, rows) @ (T, rows, cols)`` over
-        every allocated tile, and the Monte-Carlo ``(R|1, T, batch, rows) @
-        (R, T, rows, cols)`` variant.  Implementations must compute every
-        batch slice with the same per-slice reduction ``numpy.matmul`` uses,
+        The engine's hot path: ``(R|1, T, batch, rows) @ (R, T, rows, cols)``
+        over every trial and allocated tile.  Implementations must compute
+        every batch slice with the same per-slice reduction ``numpy.matmul`` uses,
         so bit-identical policies stay bit-identical regardless of how the
         batch axis is scheduled.
         """
@@ -225,42 +223,30 @@ class Backend:
         """Execute every allocated tile of an MVM batch and scatter-add.
 
         ``x`` is the DAC-quantized, row-tile-sliced input stack —
-        ``(row_tiles, batch, rows)`` for a single programming (shared by
-        every Monte-Carlo trial), ``(trials, row_tiles, batch, rows)`` for
-        per-trial input stacks — and ``diff`` the stacked differential
-        conductances, ``(T, rows, cols)`` or ``(trials, T, rows, cols)``.
-        Returns ``(batch, out_dim)`` / ``(trials, batch, out_dim)``.
+        ``(row_tiles, batch, rows)`` when every trial shares its inputs,
+        ``(trials, row_tiles, batch, rows)`` for per-trial input stacks — and
+        ``diff`` the stacked differential conductances ``(trials, T, rows,
+        cols)``; a single programming has ``trials == 1``.  Returns
+        ``(trials, batch, out_dim)``.
 
         The base implementation is the reference: gather each tile's input
-        segment, run one batched matmul over all (trial,) tile, vector
+        segment, run one batched matmul over all (trial, tile, vector)
         triples, rescale, ADC-quantize, then scatter-add the per-tile partial
         sums **serially in allocation order**.  Overrides may schedule tiles
         differently but must reproduce this reduction order bit-for-bit at
         equal precision (see ENGINE.md, "Execution backends").
         """
-        scales = layout.scales
-        if diff.ndim == 3:
-            batch = x.shape[1]
-            result = self.zeros((batch, layout.out_dim))
-            # Gather each tile's input segment and execute every (tile,
-            # vector) MVM in one batched matmul: (T, batch, rows) @ (T, rows, cols).
-            outputs = self.batched_matmul(x[layout.tile_rows], diff)
-            scales = scales[:, None, None]
-            valid_shape = (slice(None), None, slice(None))
-        else:
-            trials = diff.shape[0]
-            batch = x.shape[-2]
-            result = self.zeros((trials, batch, layout.out_dim))
-            # Shared inputs broadcast over the trial axis; per-trial stacks
-            # gather per trial: (trials|1, T, batch, rows) @ (trials, T, rows, cols).
-            gathered = x[layout.tile_rows][None] if x.ndim == 3 else x[:, layout.tile_rows]
-            outputs = self.batched_matmul(gathered, diff)
-            scales = scales[None, :, None, None]
-            valid_shape = (None, slice(None), None, slice(None))
+        trials = diff.shape[0]
+        batch = x.shape[-2]
+        result = self.zeros((trials, batch, layout.out_dim))
+        # Shared inputs broadcast over the trial axis; per-trial stacks
+        # gather per trial: (trials|1, T, batch, rows) @ (trials, T, rows, cols).
+        gathered = x[layout.tile_rows][None] if x.ndim == 3 else x[:, layout.tile_rows]
+        outputs = self.batched_matmul(gathered, diff)
         # In-place div-then-mul keeps the rounding order of the per-tile path
         # (currents / span * scale) without allocating two temporaries.
         outputs /= layout.span
-        outputs *= scales
+        outputs *= layout.scales[None, :, None, None]
         if output_bits is not None:
             # Columns beyond a tile's programmed width carry only noise on the
             # unprogrammed differential pairs; the per-tile ADC never sees
@@ -268,7 +254,7 @@ class Backend:
             # max-abs identical.  (Without ADC quantization the scatter below
             # never reads them, so the mask is skipped.)
             valid = np.arange(diff.shape[-1])[None, :] < layout.out_lens[:, None]
-            outputs = np.where(valid[valid_shape], outputs, 0.0)
+            outputs = np.where(valid[None, :, None, :], outputs, 0.0)
             outputs = quantize(outputs, output_bits)
         # Scatter-add per-tile partial sums in allocation order (the same
         # accumulation order as the per-tile executor).

@@ -1,6 +1,6 @@
 """Chunked, threaded tile executor — bit-identical to the numpy64 reference.
 
-The reference execution path of :class:`repro.engine.kernels.BatchedTiledMatrix`
+The reference execution path of :class:`repro.engine.kernels.MonteCarloTiledMatrix`
 materializes three tensors the size of the full stacked-tile product per MVM
 batch: the gathered per-tile input operand ``x[tile_rows]``, the batched
 matmul output and its rescaled/quantized copy.  On the large-sweep workload
@@ -9,11 +9,10 @@ megabytes each, so the hot path is memory-traffic bound — and the serial
 gufunc loop of the stacked ``numpy.matmul`` leaves every other core idle.
 
 :class:`ThreadedBackend` overrides :meth:`Backend.tiled_mvm` with a **fused
-chunked tile executor**: the stacked-tile axis is partitioned into output
-column groups (for Monte-Carlo stacks, (trial, column-group) pairs), and each
-chunk runs gather-view → 2-D GEMM → rescale → ADC-quantize → accumulate with
-a cache-resident group-local buffer on a shared
-:class:`~concurrent.futures.ThreadPoolExecutor`.  Nothing the size of the
+chunked tile executor**: the stacked-tile axis is partitioned into (trial,
+output column group) pairs, and each chunk runs gather-view → 2-D GEMM →
+rescale → ADC-quantize → accumulate with a cache-resident group-local buffer
+on a shared :class:`~concurrent.futures.ThreadPoolExecutor`.  Nothing the size of the
 full stacked product is ever materialized, and BLAS releases the GIL, so
 chunks scale across cores; even with one worker the fused loop wins on
 memory traffic (~2.5x on the committed large-sweep benchmark).
@@ -165,11 +164,11 @@ class ThreadedBackend(Backend):
         The reference path materializes three tensors the size of the full
         stacked product — the gathered per-tile input operand, the batched
         matmul output and its rescaled copy — before scatter-adding.  This
-        override partitions the stacked-tile axis into **output column
-        groups** (the tiles sharing one output scatter range; for Monte-Carlo
-        stacks, one group per (trial, column) pair) and processes each group
-        fused: per tile, one direct 2-D GEMM into a group-local buffer,
-        rescale, ADC-quantize, accumulate.  Input segments are read as views
+        override partitions the stacked-tile axis into **(trial, output
+        column group)** chunks (a column group is the tiles sharing one
+        output scatter range) and processes each chunk fused: per tile, one
+        direct 2-D GEMM into a group-local buffer, rescale, ADC-quantize,
+        accumulate.  Input segments are read as views
         of the row-sliced stack (nothing is gathered), and the working set of
         a group stays cache-resident.
 
@@ -186,15 +185,9 @@ class ThreadedBackend(Backend):
         """
         x = self.asarray(x)
         diff = self.asarray(diff)
-        monte_carlo = diff.ndim == 4
-        trials = diff.shape[0] if monte_carlo else 1
-        num_tiles = diff.shape[-3]
+        trials, num_tiles, _, cols = diff.shape
         batch = x.shape[-2]
-        cols = diff.shape[-1]
-        if monte_carlo:
-            result = self.zeros((trials, batch, layout.out_dim))
-        else:
-            result = self.zeros((batch, layout.out_dim))
+        result = self.zeros((trials, batch, layout.out_dim))
         if num_tiles == 0 or batch == 0:
             return result
         shared_inputs = x.ndim == 3
@@ -217,7 +210,7 @@ class ThreadedBackend(Backend):
                         if shared_inputs
                         else x[trial, layout.tile_rows[t]]
                     )
-                    d_tile = diff[trial, t] if monte_carlo else diff[t]
+                    d_tile = diff[trial, t]
                     # Full-width GEMM (never a column-sliced one): identical
                     # to the batched matmul's per-slice reduction.
                     np.matmul(x_tile, d_tile, out=buffer)
@@ -228,10 +221,7 @@ class ThreadedBackend(Backend):
                     if output_bits is not None:
                         partial = quantize(partial, output_bits)
                     start = int(layout.out_starts[t])
-                    if monte_carlo:
-                        result[trial, :, start : start + length] += partial
-                    else:
-                        result[:, start : start + length] += partial
+                    result[trial, :, start : start + length] += partial
 
         self._fan_out(chunks, run_chunks)
         return result

@@ -4,10 +4,12 @@ The engine is organized in three layers (see ENGINE.md at the repository
 root):
 
 * **kernel layer** (:mod:`repro.engine.kernels`) — stride-tricks im2col and
-  the stacked-tensor :class:`BatchedTiledMatrix` crossbar executor;
+  the stacked-tensor :class:`MonteCarloTiledMatrix` crossbar kernel (a single
+  programming is its ``trials=1`` case);
 * **pipeline layer** (:mod:`repro.engine.context`) — :class:`ExecutionContext`
-  and :class:`LayerPlan`, which fuse decompose → map → simulate → energy with
-  memoized decompositions (:mod:`repro.engine.cache`);
+  and its one factory ``ctx.plan(weight, geometry, trials=, rank=, groups=)``,
+  whose :class:`LayerPlan` fuses lower → decompose → map → simulate → energy
+  with memoized decompositions (:mod:`repro.engine.cache`);
 * **experiment layer** (:mod:`repro.engine.sweep`) — the registry-based sweep
   runner the Table I / Fig. 6–9 harnesses declare themselves against.
 """
@@ -22,7 +24,6 @@ from .cache import (
 from .context import (
     ExecutionContext,
     LayerPlan,
-    MonteCarloPlan,
     MonteCarloResult,
     SimulationResult,
 )
@@ -50,7 +51,6 @@ __all__ = [
     "matrix_fingerprint",
     "ExecutionContext",
     "LayerPlan",
-    "MonteCarloPlan",
     "MonteCarloResult",
     "SimulationResult",
     "BatchedTiledMatrix",

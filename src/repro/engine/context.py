@@ -1,28 +1,26 @@
-"""Pipeline layer: fuse decompose → map → simulate → energy per layer.
+"""Pipeline layer: fuse lower → decompose → map → simulate → energy per layer.
 
 An :class:`ExecutionContext` captures the hardware configuration (array
 dimensions, peripherals, noise model, DAC/ADC bit widths, seed) and the
-execution backend ("batched" stacked-tensor kernels by default, the per-tile
-"legacy" path as the cross-check oracle).  From a context, a
-:class:`LayerPlan` is built **once** per mapped layer: low-rank factors come
-from the shared :class:`repro.engine.cache.DecompositionCache` (so sweeps over
-array sizes and noise levels never re-decompose identical weights), the stage
-matrices are programmed onto (batched) tiles once, and every subsequent input
-batch reuses the programmed tiles — the plan fuses what the seed code base
-re-wired by hand in every harness.
+execution backend.  Its one factory, :meth:`ExecutionContext.plan`, builds a
+:class:`LayerPlan` **once** per mapped layer: the weight is lowered to its
+im2col matrix according to the layer geometry, low-rank factors come from the
+shared :class:`repro.engine.cache.DecompositionCache` (so sweeps over array
+sizes and noise levels never re-decompose identical weights), the stage
+matrices are programmed onto tiles ``trials`` times, and every subsequent
+input batch reuses the programmed tiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import Backend, get_backend, resolve_backend
+from ..backend import Backend, resolve_backend
 from ..imc.noise import NoiseModel
 from ..imc.peripherals import PeripheralSuite, default_peripherals
-from ..imc.tiles import TiledMatrix
 from ..mapping.geometry import (
     ArrayDims,
     AttentionProjectionGeometry,
@@ -34,8 +32,8 @@ from .cache import DecompositionCache, default_decomposition_cache
 from .kernels import (
     STAGE_SEED_STRIDE,
     TRIAL_SEED_STRIDE,
-    BatchedTiledMatrix,
     MonteCarloTiledMatrix,
+    _require_finite,
     im2col_columns,
 )
 
@@ -43,17 +41,13 @@ __all__ = [
     "SimulationResult",
     "LayerPlan",
     "MonteCarloResult",
-    "MonteCarloPlan",
     "ExecutionContext",
 ]
-
-#: Either tiled-matrix implementation; both expose the same executor surface.
-TiledBackend = Union[TiledMatrix, BatchedTiledMatrix]
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of simulating one mapped layer on crossbar tiles."""
+    """One trial of a simulated layer (see :meth:`MonteCarloResult.trial`)."""
 
     method: str
     outputs: np.ndarray
@@ -72,62 +66,6 @@ class SimulationResult:
         if denom == 0.0:
             return 0.0
         return float(np.linalg.norm(self.outputs - self.exact)) / denom
-
-
-@dataclass
-class LayerPlan:
-    """One mapped layer, programmed onto tiles and ready to execute batches.
-
-    ``stages`` are executed in order (dense mapping has one stage, the
-    two-stage low-rank computation has two); ``exact_matrix`` is the dense
-    reference ``W`` used to report the combined approximation + hardware
-    error; ``geometry`` (when present) lets the plan consume NCHW feature maps
-    directly via the vectorized im2col kernel.
-    """
-
-    method: str
-    stages: List[TiledBackend]
-    exact_matrix: np.ndarray
-    geometry: Optional[ConvGeometry] = None
-
-    @property
-    def allocated_tiles(self) -> int:
-        return sum(stage.num_allocated_tiles for stage in self.stages)
-
-    @property
-    def activations(self) -> int:
-        return sum(stage.total_activations for stage in self.stages)
-
-    def activation_energy_pj(self) -> float:
-        """Energy of pushing one input vector through every stage."""
-        return sum(stage.activation_energy_pj() for stage in self.stages)
-
-    def columns(self, inputs: np.ndarray) -> np.ndarray:
-        """Convert inputs to the (batch, n) column layout the tiles consume."""
-        if inputs.ndim == 4:
-            if self.geometry is None:
-                raise ValueError("this plan has no ConvGeometry; pass 2-D column inputs")
-            return im2col_columns(inputs, self.geometry)
-        if inputs.ndim != 2:
-            raise ValueError(f"expected a 2-D column batch or NCHW inputs, got shape {inputs.shape}")
-        return inputs
-
-    def run(self, inputs: np.ndarray) -> SimulationResult:
-        """Execute the plan on a batch and report outputs, error and energy."""
-        columns = self.columns(inputs)
-        outputs = columns
-        for stage in self.stages:
-            outputs = stage.mvm_batch(outputs)
-        exact = columns @ self.exact_matrix.T
-        energy = self.activation_energy_pj() * columns.shape[0]
-        return SimulationResult(
-            method=self.method,
-            outputs=outputs,
-            exact=exact,
-            allocated_tiles=self.allocated_tiles,
-            activations=sum(stage.total_activations for stage in self.stages),
-            energy_pj=energy,
-        )
 
 
 @dataclass(frozen=True)
@@ -171,22 +109,37 @@ class MonteCarloResult:
     def worst_relative_error(self) -> float:
         return float(np.max(self.relative_errors))
 
+    def trial(self, trial: int) -> SimulationResult:
+        """The result of one trial, as a sequential single-trial run reports it."""
+        if not 0 <= trial < self.trials:
+            raise IndexError(f"trial {trial} out of range [0, {self.trials})")
+        return SimulationResult(
+            method=self.method,
+            outputs=self.outputs[trial],
+            exact=self.exact,
+            allocated_tiles=self.allocated_tiles,
+            activations=self.activations // self.trials,
+            energy_pj=self.energy_pj,
+        )
+
 
 @dataclass
-class MonteCarloPlan:
-    """One mapped layer programmed ``trials`` times, ready to execute batches.
+class LayerPlan:
+    """One mapped layer, programmed ``trials`` times and ready to execute batches.
 
-    The Monte-Carlo analogue of :class:`LayerPlan`: stages are
-    :class:`MonteCarloTiledMatrix` kernels sharing the trial axis, so a
-    two-stage low-rank plan chains per-trial intermediates — trial ``t`` of
-    stage 2 consumes trial ``t`` of stage 1, exactly as a sequential per-trial
-    run would.
+    ``stages`` are executed in order (dense mapping has one stage, the
+    two-stage low-rank computation has two) and share the trial axis, so
+    trial ``t`` of stage 2 consumes trial ``t`` of stage 1, exactly as a
+    sequential per-trial run would.  ``exact_matrix`` is the dense reference
+    ``W`` used to report the combined approximation + hardware error;
+    ``geometry`` (when present) lets the plan consume NCHW feature maps
+    directly via the vectorized im2col kernel.
     """
 
     method: str
     stages: List[MonteCarloTiledMatrix]
     exact_matrix: np.ndarray
-    trials: int
+    trials: int = 1
     geometry: Optional[ConvGeometry] = None
 
     @property
@@ -194,43 +147,82 @@ class MonteCarloPlan:
         """Tiles of ONE trial (all trials share the allocation layout)."""
         return sum(stage.num_allocated_tiles for stage in self.stages)
 
+    @property
+    def activations(self) -> int:
+        return sum(stage.total_activations for stage in self.stages)
+
     def activation_energy_pj(self) -> float:
         """Energy of pushing one input vector through every stage, per trial."""
         return sum(stage.activation_energy_pj() for stage in self.stages)
 
-    columns = LayerPlan.columns
+    def columns(self, inputs: np.ndarray) -> np.ndarray:
+        """Convert inputs to the (batch, n) column layout the tiles consume."""
+        if inputs.ndim == 4:
+            if self.geometry is None:
+                raise ValueError("this plan has no ConvGeometry; pass 2-D column inputs")
+            return im2col_columns(inputs, self.geometry)
+        if inputs.ndim != 2:
+            raise ValueError(f"expected a 2-D column batch or NCHW inputs, got shape {inputs.shape}")
+        return inputs
 
-    def run(self, inputs: np.ndarray) -> MonteCarloResult:
-        """Execute every trial on a batch and report the output spread."""
-        columns = self.columns(inputs)
-        outputs = columns  # 2-D shared batch; becomes (trials, batch, ·) after stage 1
+    def mvm_batch(self, columns: np.ndarray) -> np.ndarray:
+        """Chain a ``(batch, n)`` column batch through every stage: ``(trials, batch, m)``."""
+        outputs = columns  # shared batch; becomes (trials, batch, ·) after stage 1
         for stage in self.stages:
             outputs = stage.mvm_batch(outputs)
-        exact = columns @ self.exact_matrix.T
-        energy = self.activation_energy_pj() * columns.shape[0]
+        return outputs
+
+    def run(self, inputs: np.ndarray) -> MonteCarloResult:
+        """Execute every trial on a batch and report outputs, error spread and energy."""
+        columns = self.columns(inputs)
+        outputs = self.mvm_batch(columns)
         return MonteCarloResult(
             method=self.method,
             outputs=outputs,
-            exact=exact,
+            exact=columns @ self.exact_matrix.T,
             trials=self.trials,
             allocated_tiles=self.allocated_tiles,
-            activations=sum(stage.total_activations for stage in self.stages),
-            energy_pj=energy,
+            activations=self.activations,
+            energy_pj=self.activation_energy_pj() * columns.shape[0],
         )
+
+
+def _lower(
+    weight: Union[np.ndarray, Sequence[np.ndarray]], geometry: Optional[ConvGeometry]
+) -> Tuple[np.ndarray, str]:
+    """The im2col matrix a layer maps onto tiles, and its dense method label."""
+    if geometry is None:
+        return weight, "dense"
+    if isinstance(geometry, GroupedConvGeometry):
+        # Block-diagonal placement: off-diagonal all-zero tiles are skipped,
+        # so the allocation matches tiles_for_grouped_conv exactly.
+        method = "depthwise" if geometry.is_depthwise else f"grouped(g={geometry.groups})"
+        return expand_grouped_kernel(weight, geometry), method
+    if isinstance(geometry, AttentionProjectionGeometry):
+        # A fused (m, d_model) matrix, or per-projection (Q/K/V) matrices that
+        # share their input and are row-stacked before mapping.
+        if isinstance(weight, np.ndarray) and weight.ndim == 2:
+            matrix = weight
+        else:
+            matrix = stack_attention_weights(list(weight))
+        if matrix.shape != (geometry.m, geometry.n):
+            raise ValueError(
+                f"stacked projection shape {matrix.shape} != geometry's "
+                f"({geometry.m}, {geometry.n})"
+            )
+        p = geometry.projections
+        return matrix, "attention" if p == 1 else f"attention(p={p})"
+    return weight.reshape(geometry.m, geometry.n), "dense"
 
 
 @dataclass
 class ExecutionContext:
-    """Hardware configuration + engine/backend choice + shared decomposition cache.
+    """Hardware configuration + execution backend + shared decomposition cache.
 
-    ``engine`` picks the executor implementation (``"batched"`` stacked-tile
-    kernels, ``"legacy"`` per-tile oracle); ``backend`` picks the execution
-    backend (:mod:`repro.backend`) the batched kernels and the decomposition
-    cache compute through — ``None`` resolves to the active process default
-    (``--backend`` / ``$REPRO_BACKEND`` / ``numpy64``).  The legacy per-tile
-    path *is* the float64 oracle, so it always runs at float64: a context with
-    ``engine="legacy"`` resolves ``backend=None`` to ``numpy64`` regardless of
-    the ambient default, and rejects an explicit non-float64 backend.
+    ``backend`` picks the execution backend (:mod:`repro.backend`) the
+    kernels and the decomposition cache compute through — ``None`` resolves
+    to the active process default (``--backend`` / ``$REPRO_BACKEND`` /
+    ``numpy64``).
     """
 
     array: ArrayDims
@@ -239,26 +231,13 @@ class ExecutionContext:
     input_bits: Optional[int] = None
     output_bits: Optional[int] = None
     seed: int = 0
-    engine: str = "batched"
     backend: Union[str, Backend, None] = None
     decompositions: DecompositionCache = field(
         default_factory=lambda: default_decomposition_cache
     )
 
     def __post_init__(self) -> None:
-        if self.engine not in ("batched", "legacy"):
-            raise ValueError(f"unknown engine {self.engine!r}; expected 'batched' or 'legacy'")
-        if self.engine == "legacy":
-            explicit = self.backend is not None
-            self.backend = get_backend("numpy64") if not explicit else resolve_backend(self.backend)
-            if self.backend.policy.name != "float64":
-                raise ValueError(
-                    "the legacy per-tile oracle is the float64 reference; it cannot "
-                    f"execute under the {self.backend.name!r} backend "
-                    f"({self.backend.policy.name})"
-                )
-        else:
-            self.backend = resolve_backend(self.backend)
+        self.backend = resolve_backend(self.backend)
 
     # ------------------------------------------------------------------
     # Persistent decomposition spill
@@ -282,261 +261,83 @@ class ExecutionContext:
         return self
 
     # ------------------------------------------------------------------
-    # Tile construction
-    # ------------------------------------------------------------------
-    def tiled(self, matrix: np.ndarray, seed_offset: int = 0) -> TiledBackend:
-        """Program a mapped matrix onto tiles using the configured engine."""
-        if self.engine == "legacy":
-            return TiledMatrix(
-                matrix=matrix,
-                array=self.array,
-                peripherals=self.peripherals,
-                noise=self.noise,
-                input_bits=self.input_bits,
-                output_bits=self.output_bits,
-                seed=self.seed + seed_offset,
-            )
-        return BatchedTiledMatrix(
-            matrix=matrix,
-            array=self.array,
-            peripherals=self.peripherals,
-            noise=self.noise,
-            input_bits=self.input_bits,
-            output_bits=self.output_bits,
-            seed=self.seed + seed_offset,
-            backend=self.backend,
-        )
-
-    # ------------------------------------------------------------------
     # Plans
-    # ------------------------------------------------------------------
-    def dense_plan(
-        self, weight_matrix: np.ndarray, geometry: Optional[ConvGeometry] = None
-    ) -> LayerPlan:
-        """Plan the dense (im2col) mapping of ``y = W x``."""
-        return LayerPlan(
-            method="dense",
-            stages=[self.tiled(weight_matrix)],
-            exact_matrix=weight_matrix,
-            geometry=geometry,
-        )
-
-    def lowrank_plan(
-        self,
-        weight_matrix: np.ndarray,
-        rank: int,
-        groups: int = 1,
-        geometry: Optional[ConvGeometry] = None,
-    ) -> LayerPlan:
-        """Plan the grouped two-stage computation ``y = [L_1…L_g] diag(R_i) x``.
-
-        The group decomposition is memoized in the shared cache, so building
-        the same plan for another array size or noise level reuses the SVDs.
-        """
-        factors = self.decompositions.group_decompose(
-            weight_matrix, rank, groups, backend=self.backend
-        )
-        # Stages are spaced by STAGE_SEED_STRIDE (not consecutive integers):
-        # per-tile streams are seeded seed + allocation_index, so an offset of
-        # 1 would alias stage 2's tile 0 with stage 1's tile 1.
-        stage1 = self.tiled(factors.block_diagonal_right(), seed_offset=0)
-        stage2 = self.tiled(factors.stacked_left(), seed_offset=STAGE_SEED_STRIDE)
-        return LayerPlan(
-            method=f"lowrank(g={groups},k={rank})",
-            stages=[stage1, stage2],
-            exact_matrix=weight_matrix,
-            geometry=geometry,
-        )
-
-    def conv_dense_plan(self, weight: np.ndarray, geometry: ConvGeometry) -> LayerPlan:
-        """Dense plan of a convolution given its (out, in, kh, kw) kernel."""
-        return self.dense_plan(weight.reshape(geometry.m, geometry.n), geometry=geometry)
-
-    def grouped_conv_plan(
-        self, weight: np.ndarray, geometry: GroupedConvGeometry
-    ) -> LayerPlan:
-        """Plan a grouped/depthwise conv via block-diagonal tile placement.
-
-        ``weight`` is the framework kernel ``(out_channels, group_in_channels,
-        kh, kw)``; lowering it to the block-diagonal im2col matrix and
-        programming that through the ordinary dense path allocates exactly the
-        tiles :func:`repro.mapping.grouped.tiles_for_grouped_conv` predicts —
-        off-diagonal all-zero tiles are structurally skipped, on both engines.
-        """
-        matrix = expand_grouped_kernel(weight, geometry)
-        method = "depthwise" if geometry.is_depthwise else f"grouped(g={geometry.groups})"
-        return LayerPlan(
-            method=method,
-            stages=[self.tiled(matrix)],
-            exact_matrix=matrix,
-            geometry=geometry,
-        )
-
-    def attention_projection_plan(
-        self,
-        weights: Union[np.ndarray, List[np.ndarray]],
-        geometry: AttentionProjectionGeometry,
-    ) -> LayerPlan:
-        """Plan an attention projection as one row-stacked dense GEMM.
-
-        ``weights`` is either the fused ``(m, d_model)`` matrix or a sequence
-        of per-projection ``(d_out, d_model)`` matrices (Q/K/V) that share
-        their input and are stacked before mapping.
-        """
-        if isinstance(weights, np.ndarray) and weights.ndim == 2:
-            matrix = weights
-        else:
-            matrix = stack_attention_weights(list(weights))
-        if matrix.shape != (geometry.m, geometry.n):
-            raise ValueError(
-                f"stacked projection shape {matrix.shape} != geometry's "
-                f"({geometry.m}, {geometry.n})"
-            )
-        method = "attention" if geometry.projections == 1 else f"attention(p={geometry.projections})"
-        return LayerPlan(
-            method=method,
-            stages=[self.tiled(matrix)],
-            exact_matrix=matrix,
-            geometry=geometry,
-        )
-
-    # ------------------------------------------------------------------
-    # Monte-Carlo plans (batched robustness trials)
     # ------------------------------------------------------------------
     def trial_context(self, trial: int, trial_stride: int = TRIAL_SEED_STRIDE) -> "ExecutionContext":
         """The context a sequential run of Monte-Carlo trial ``trial`` uses.
 
-        ``ctx.trial_context(t).lowrank_plan(...)`` programs exactly the
-        conductances of trial ``t`` of ``ctx.lowrank_monte_carlo_plan(...)``
-        — the sequential oracle of the batched Monte-Carlo kernel.
+        ``ctx.trial_context(t).plan(...)`` programs exactly the conductances
+        of trial ``t`` of ``ctx.plan(..., trials=R)`` — the sequential oracle
+        of the batched trial kernel.
         """
         return replace(self, seed=self.seed + trial * trial_stride)
 
-    def monte_carlo_tiled(
+    def plan(
         self,
-        matrix: np.ndarray,
-        trials: int,
-        seed_offset: int = 0,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloTiledMatrix:
-        """Program a mapped matrix onto tiles ``trials`` times, stacked."""
-        return MonteCarloTiledMatrix(
-            matrix=matrix,
-            array=self.array,
-            trials=trials,
-            peripherals=self.peripherals,
-            noise=self.noise,
-            input_bits=self.input_bits,
-            output_bits=self.output_bits,
-            seed=self.seed + seed_offset,
-            trial_stride=trial_stride,
-            backend=self.backend,
-        )
-
-    def dense_monte_carlo_plan(
-        self,
-        weight_matrix: np.ndarray,
-        trials: int,
+        weight: Union[np.ndarray, Sequence[np.ndarray]],
         geometry: Optional[ConvGeometry] = None,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloPlan:
-        """Monte-Carlo plan of the dense (im2col) mapping of ``y = W x``."""
-        return MonteCarloPlan(
-            method="dense",
-            stages=[self.monte_carlo_tiled(weight_matrix, trials, trial_stride=trial_stride)],
-            exact_matrix=weight_matrix,
-            trials=trials,
-            geometry=geometry,
-        )
-
-    def lowrank_monte_carlo_plan(
-        self,
-        weight_matrix: np.ndarray,
-        rank: int,
-        trials: int,
+        *,
+        trials: int = 1,
+        rank: Optional[int] = None,
         groups: int = 1,
-        geometry: Optional[ConvGeometry] = None,
         trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloPlan:
-        """Monte-Carlo plan of the grouped two-stage low-rank computation.
-
-        Stage seed offsets match :meth:`lowrank_plan` (0 and
-        ``STAGE_SEED_STRIDE``), so trial ``t`` is bit-identical to
-        ``trial_context(t).lowrank_plan(...)``.
-        """
-        factors = self.decompositions.group_decompose(
-            weight_matrix, rank, groups, backend=self.backend
-        )
-        stage1 = self.monte_carlo_tiled(
-            factors.block_diagonal_right(), trials, seed_offset=0, trial_stride=trial_stride
-        )
-        stage2 = self.monte_carlo_tiled(
-            factors.stacked_left(),
-            trials,
-            seed_offset=STAGE_SEED_STRIDE,
-            trial_stride=trial_stride,
-        )
-        return MonteCarloPlan(
-            method=f"lowrank(g={groups},k={rank})",
-            stages=[stage1, stage2],
-            exact_matrix=weight_matrix,
-            trials=trials,
-            geometry=geometry,
-        )
-
-    def grouped_conv_monte_carlo_plan(
-        self,
-        weight: np.ndarray,
-        geometry: GroupedConvGeometry,
-        trials: int,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloPlan:
-        """Monte-Carlo plan of the block-diagonal grouped/depthwise mapping.
-
-        Trial ``t`` is bit-identical to
-        ``trial_context(t).grouped_conv_plan(weight, geometry)`` — same tile
-        allocation, same per-tile seed offsets.
-        """
-        matrix = expand_grouped_kernel(weight, geometry)
-        method = "depthwise" if geometry.is_depthwise else f"grouped(g={geometry.groups})"
-        return MonteCarloPlan(
-            method=method,
-            stages=[self.monte_carlo_tiled(matrix, trials, trial_stride=trial_stride)],
-            exact_matrix=matrix,
-            trials=trials,
-            geometry=geometry,
-        )
-
-    def attention_monte_carlo_plan(
-        self,
-        weights: Union[np.ndarray, List[np.ndarray]],
-        geometry: AttentionProjectionGeometry,
-        trials: int,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloPlan:
-        """Monte-Carlo plan of a stacked attention-projection GEMM."""
-        if isinstance(weights, np.ndarray) and weights.ndim == 2:
-            matrix = weights
-        else:
-            matrix = stack_attention_weights(list(weights))
-        if matrix.shape != (geometry.m, geometry.n):
-            raise ValueError(
-                f"stacked projection shape {matrix.shape} != geometry's "
-                f"({geometry.m}, {geometry.n})"
-            )
-        method = "attention" if geometry.projections == 1 else f"attention(p={geometry.projections})"
-        return MonteCarloPlan(
-            method=method,
-            stages=[self.monte_carlo_tiled(matrix, trials, trial_stride=trial_stride)],
-            exact_matrix=matrix,
-            trials=trials,
-            geometry=geometry,
-        )
-
-    def conv_lowrank_plan(
-        self, weight: np.ndarray, geometry: ConvGeometry, rank: int, groups: int = 1
     ) -> LayerPlan:
-        """Low-rank plan of a convolution given its (out, in, kh, kw) kernel."""
-        return self.lowrank_plan(
-            weight.reshape(geometry.m, geometry.n), rank=rank, groups=groups, geometry=geometry
+        """Plan one layer: lower ``weight`` by ``geometry``, map it, program it.
+
+        ``geometry`` selects the lowering: ``None`` maps ``weight`` as the
+        dense matrix of ``y = W x``; a :class:`ConvGeometry` reshapes an
+        ``(out, in, kh, kw)`` kernel to its im2col matrix; a
+        :class:`GroupedConvGeometry` expands the grouped kernel to its
+        block-diagonal matrix; an :class:`AttentionProjectionGeometry` stacks
+        the projection matrices.  ``rank`` selects the grouped two-stage
+        low-rank computation ``y = [L_1…L_g] diag(R_i) x`` of that matrix
+        (memoized in the shared decomposition cache).  Every stage is
+        programmed ``trials`` times with trial streams ``trial_stride`` apart;
+        stage ``s`` is offset by ``s · STAGE_SEED_STRIDE``.
+        """
+        matrix, method = _lower(weight, geometry)
+        if rank is None:
+            if groups != 1:
+                raise ValueError(f"groups={groups} needs a rank (the low-rank path)")
+            matrices = [matrix]
+        else:
+            m, n = matrix.shape
+            if groups < 1:
+                raise ValueError(f"groups must be positive, got {groups}")
+            limit = min(m, n // groups)
+            if not 1 <= rank <= limit:
+                raise ValueError(
+                    f"rank {rank} does not fit a {m}x{n} matrix in {groups} group(s); "
+                    f"expected 1 <= rank <= min(m, n // groups) = {limit}"
+                )
+            _require_finite("weights", matrix)  # before the SVD sees it
+            factors = self.decompositions.group_decompose(
+                matrix, rank, groups, backend=self.backend
+            )
+            matrices = [factors.block_diagonal_right(), factors.stacked_left()]
+            method = f"lowrank(g={groups},k={rank})"
+        # Stages are spaced by STAGE_SEED_STRIDE (not consecutive integers):
+        # per-tile streams are seeded seed + allocation_index, so an offset of
+        # 1 would alias stage 2's tile 0 with stage 1's tile 1.
+        stages = [
+            MonteCarloTiledMatrix(
+                matrix=stage_matrix,
+                array=self.array,
+                trials=trials,
+                peripherals=self.peripherals,
+                noise=self.noise,
+                input_bits=self.input_bits,
+                output_bits=self.output_bits,
+                seed=self.seed + index * STAGE_SEED_STRIDE,
+                trial_stride=trial_stride,
+                backend=self.backend,
+            )
+            for index, stage_matrix in enumerate(matrices)
+        ]
+        return LayerPlan(
+            method=method,
+            stages=stages,
+            exact_matrix=matrix,
+            trials=trials,
+            geometry=geometry,
         )

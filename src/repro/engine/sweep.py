@@ -20,6 +20,7 @@ without coordinating beyond the shared store).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -137,8 +138,32 @@ class SweepCache:
         return result
 
     def save(self, fingerprint: str, result: Any) -> None:
+        """Persist a computed cell; a NaN/inf anywhere in it raises instead."""
+        payload = encode(result)
+        where = _non_finite(payload, "result")
+        if where is not None:
+            raise ValueError(
+                f"refusing to store a non-finite {self.kind} cell {fingerprint}: {where}"
+            )
         self.computed += 1
-        self.store.put(self.kind, fingerprint, encode(result))
+        self.store.put(self.kind, fingerprint, payload)
+
+
+def _non_finite(value: Any, path: str) -> Optional[str]:
+    """``"<path> = <value>"`` of the first NaN/inf float in an encoded payload."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path} = {value}"
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    for item_path, item in items:
+        where = _non_finite(item, item_path)
+        if where is not None:
+            return where
+    return None
 
 
 @dataclass

@@ -41,7 +41,6 @@ from ..engine.sweep import (
 )
 from ..mapping.geometry import (
     ArrayDims,
-    AttentionProjectionGeometry,
     ConvGeometry,
     GroupedConvGeometry,
     layer_family,
@@ -178,15 +177,6 @@ def _family_inputs(geometry: ConvGeometry, batch: int, seed: int) -> np.ndarray:
     return rng.standard_normal((batch, geometry.n))
 
 
-def _family_plan(ctx, geometry: ConvGeometry, weight: np.ndarray, trials: int):
-    """The Monte-Carlo plan of one family's representative layer."""
-    if isinstance(geometry, GroupedConvGeometry):
-        return ctx.grouped_conv_monte_carlo_plan(weight, geometry, trials=trials)
-    if isinstance(geometry, AttentionProjectionGeometry):
-        return ctx.attention_monte_carlo_plan(weight, geometry, trials=trials)
-    return ctx.dense_monte_carlo_plan(weight, trials=trials, geometry=geometry)
-
-
 def _family_point(
     family: str,
     scenario_name: str,
@@ -202,7 +192,7 @@ def _family_point(
     weight = _family_weight(geometry, seed)
     inputs = _family_inputs(geometry, batch, seed)
     ctx = get_scenario(scenario_name).context(array, seed=seed)
-    result = _family_plan(ctx, geometry, weight, trials).run(inputs)
+    result = ctx.plan(weight, geometry, trials=trials).run(inputs)
 
     dense_tiles = tiles_for_matrix(geometry.m, geometry.n, array)
     if isinstance(geometry, GroupedConvGeometry):

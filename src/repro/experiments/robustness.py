@@ -133,13 +133,11 @@ def _reference_inputs(geometry: ConvGeometry, batch: int, seed: int) -> np.ndarr
 
 def _mapping_plan(scenario_ctx, weight, mapping, rank, groups, trials):
     if mapping == "im2col":
-        return scenario_ctx.dense_monte_carlo_plan(weight, trials=trials)
+        return scenario_ctx.plan(weight, trials=trials)
     if mapping == "lowrank":
-        return scenario_ctx.lowrank_monte_carlo_plan(weight, rank=rank, trials=trials, groups=1)
+        return scenario_ctx.plan(weight, trials=trials, rank=rank)
     if mapping == "group_lowrank":
-        return scenario_ctx.lowrank_monte_carlo_plan(
-            weight, rank=rank, trials=trials, groups=groups
-        )
+        return scenario_ctx.plan(weight, trials=trials, rank=rank, groups=groups)
     raise ValueError(f"unknown mapping {mapping!r}; expected one of {MAPPINGS}")
 
 

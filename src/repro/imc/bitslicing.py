@@ -10,9 +10,9 @@ crossbar simulator and the quantization substrate line up exactly:
 
 * :func:`slice_weights` — signed integer weight codes → per-slice cell codes,
 * :func:`combine_slices` — per-slice MVM results → full-precision result,
-* :class:`BitSlicedMatrix` — a mapped matrix whose slices live on separate
-  :class:`repro.imc.tiles.TiledMatrix` instances, executing the shift-add
-  combination of Fig. 2-style column groups.
+* :class:`BitSlicedMatrix` — a mapped matrix whose slices are programmed as
+  separate engine plans, executing the shift-add combination of Fig. 2-style
+  column groups.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from ..mapping.geometry import ArrayDims, ceil_div
 from .noise import NoiseModel
 from .peripherals import PeripheralSuite, default_peripherals
-from .tiles import TiledMatrix
 
 __all__ = [
     "quantize_to_codes",
@@ -101,8 +100,9 @@ class BitSlicedMatrix:
 
     The matrix computes ``y = M x`` like :class:`repro.imc.tiles.TiledMatrix`,
     but each weight is first quantized to ``array.weight_bits`` and split into
-    ``array.cols_per_weight`` slices of ``array.cell_bits`` bits, one
-    :class:`TiledMatrix` per slice; MVM results are combined by shift-add.
+    ``array.cols_per_weight`` slices of ``array.cell_bits`` bits, each slice
+    programmed through its own engine plan; MVM results are combined by
+    shift-add.
     """
 
     matrix: np.ndarray
@@ -110,45 +110,29 @@ class BitSlicedMatrix:
     peripherals: PeripheralSuite = field(default_factory=default_peripherals)
     noise: NoiseModel = field(default_factory=NoiseModel.ideal)
     seed: int = 0
-    #: "batched" executes each slice with one stacked-tensor matmul
-    #: (:class:`repro.engine.kernels.BatchedTiledMatrix`); "pertile" keeps the
-    #: per-tile :class:`TiledMatrix` oracle path.
-    backend: str = "batched"
 
     def __post_init__(self) -> None:
         if self.matrix.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {self.matrix.shape}")
-        if self.backend not in ("batched", "pertile"):
-            raise ValueError(f"unknown backend {self.backend!r}; expected 'batched' or 'pertile'")
-        codes, self._scale = quantize_to_codes(self.matrix, self.array.weight_bits)
-        self._slices = slice_weights(codes, self.array.weight_bits, self.array.cell_bits)
-        max_slice_code = 2 ** self.array.cell_bits - 1
-        if self.backend == "batched":
-            # Imported here: the engine kernels build on this package's
-            # crossbar/tile primitives, so a module-level import would cycle.
-            from ..engine.kernels import BatchedTiledMatrix
-
-            tile_type = BatchedTiledMatrix
-        else:
-            tile_type = TiledMatrix
+        # Imported here: the engine builds on this package's crossbar/tile
+        # primitives, so a module-level import would cycle.
+        from ..engine.context import ExecutionContext
         from ..engine.kernels import STAGE_SEED_STRIDE
 
-        self._tiles = []
-        for index, slice_codes in enumerate(self._slices):
-            self._tiles.append(
-                tile_type(
-                    matrix=slice_codes.astype(np.float64),
-                    array=self.array,
-                    peripherals=self.peripherals,
-                    noise=self.noise,
-                    # Slices are spaced like plan stages: per-tile streams are
-                    # seeded seed + allocation_index, so consecutive integer
-                    # offsets would correlate slice s+1's tile 0 with slice
-                    # s's tile 1.
-                    seed=self.seed + index * STAGE_SEED_STRIDE,
-                )
-            )
-        self._max_slice_code = max_slice_code
+        codes, self._scale = quantize_to_codes(self.matrix, self.array.weight_bits)
+        self._slices = slice_weights(codes, self.array.weight_bits, self.array.cell_bits)
+        # Slices are spaced like plan stages: per-tile streams are seeded
+        # seed + allocation_index, so consecutive integer offsets would
+        # correlate slice s+1's tile 0 with slice s's tile 1.
+        self._plans = [
+            ExecutionContext(
+                array=self.array,
+                peripherals=self.peripherals,
+                noise=self.noise,
+                seed=self.seed + index * STAGE_SEED_STRIDE,
+            ).plan(slice_codes.astype(np.float64))
+            for index, slice_codes in enumerate(self._slices)
+        ]
 
     @property
     def num_slices(self) -> int:
@@ -161,11 +145,11 @@ class BitSlicedMatrix:
 
     @property
     def num_allocated_tiles(self) -> int:
-        return sum(tile.num_allocated_tiles for tile in self._tiles)
+        return sum(plan.allocated_tiles for plan in self._plans)
 
     @property
     def total_activations(self) -> int:
-        return sum(tile.total_activations for tile in self._tiles)
+        return sum(plan.activations for plan in self._plans)
 
     def quantized_matrix(self) -> np.ndarray:
         """The matrix as represented by the sliced integer codes (no analog noise)."""
@@ -174,16 +158,16 @@ class BitSlicedMatrix:
 
     def mvm(self, vector: np.ndarray) -> np.ndarray:
         """``y = M x`` via per-slice analog MVMs and digital shift-add."""
-        partials = [tile.mvm(vector) for tile in self._tiles]
+        partials = [plan.mvm_batch(vector[None, :])[0, 0] for plan in self._plans]
         return combine_slices(partials, self.array.cell_bits) * self._scale
 
     def mvm_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Batched ``Y = X M^T``: every slice executes its whole batch at once."""
         if vectors.ndim != 2:
             raise ValueError(f"expected a 2-D batch, got shape {vectors.shape}")
-        partials = [tile.mvm_batch(vectors) for tile in self._tiles]
+        partials = [plan.mvm_batch(vectors)[0] for plan in self._plans]
         return combine_slices(partials, self.array.cell_bits) * self._scale
 
     def activation_energy_pj(self) -> float:
         """Energy of one full MVM (every slice's tiles activate once)."""
-        return sum(tile.activation_energy_pj() for tile in self._tiles)
+        return sum(plan.activation_energy_pj() for plan in self._plans)

@@ -2,19 +2,14 @@
 
 The simulator is a thin façade over the execution engine
 (:mod:`repro.engine`): each ``run_*`` call builds a fused
-:class:`repro.engine.context.LayerPlan` (decompose → map → simulate → energy)
-through an :class:`repro.engine.context.ExecutionContext` and executes it, so
-accuracy under hardware non-idealities (cell quantization, conductance
-variation, stuck-at faults, IR drop) can be measured for:
+:class:`repro.engine.context.LayerPlan` (lower → decompose → map → simulate →
+energy) through :meth:`repro.engine.context.ExecutionContext.plan` and
+executes it, so accuracy under hardware non-idealities (cell quantization,
+conductance variation, stuck-at faults, IR drop) can be measured for:
 
 * the dense im2col mapping,
 * the traditional low-rank two-stage mapping,
 * the proposed group low-rank (optionally SDK-mapped) two-stage mapping.
-
-By default layers execute on the batched stacked-tensor kernels
-(``engine="batched"``); ``engine="legacy"`` selects the per-tile
-:class:`repro.imc.tiles.TiledMatrix` path, kept as the cross-check oracle the
-equivalence tests compare against.
 
 It also cross-checks the analytic AR/AC cycle model: the number of allocated
 tiles of a simulated mapping must match the analytic ``tiles_for_matrix`` /
@@ -39,7 +34,13 @@ __all__ = ["SimulationResult", "MonteCarloResult", "IMCSimulator", "im2col_colum
 
 @dataclass
 class IMCSimulator:
-    """Crossbar-level executor for dense and low-rank mapped layers."""
+    """Crossbar-level executor for dense and low-rank mapped layers.
+
+    The single-programming ``run_*`` methods report trial 0 of a one-trial
+    plan; the ``run_*_trials`` methods report every trial.  The exact
+    reference of a low-rank run is the *dense* product ``W x``, so its error
+    combines the intentional approximation error with the hardware error.
+    """
 
     array: ArrayDims
     peripherals: PeripheralSuite = field(default_factory=default_peripherals)
@@ -47,7 +48,6 @@ class IMCSimulator:
     input_bits: Optional[int] = None
     output_bits: Optional[int] = None
     seed: int = 0
-    engine: str = "batched"
 
     def context(self) -> ExecutionContext:
         """The engine execution context this simulator drives."""
@@ -58,38 +58,18 @@ class IMCSimulator:
             input_bits=self.input_bits,
             output_bits=self.output_bits,
             seed=self.seed,
-            engine=self.engine,
         )
 
-    # ------------------------------------------------------------------
-    # Dense mapping
-    # ------------------------------------------------------------------
     def run_dense(self, weight_matrix: np.ndarray, inputs: np.ndarray) -> SimulationResult:
         """Simulate ``y = W x`` for every input row of ``inputs`` (shape (batch, n))."""
-        return self.context().dense_plan(weight_matrix).run(inputs)
+        return self.context().plan(weight_matrix).run(inputs).trial(0)
 
-    # ------------------------------------------------------------------
-    # Low-rank two-stage mapping
-    # ------------------------------------------------------------------
     def run_lowrank(
-        self,
-        weight_matrix: np.ndarray,
-        inputs: np.ndarray,
-        rank: int,
-        groups: int = 1,
+        self, weight_matrix: np.ndarray, inputs: np.ndarray, rank: int, groups: int = 1
     ) -> SimulationResult:
-        """Simulate the grouped two-stage computation ``y = [L_1…L_g] diag(R_i) x``.
+        """Simulate the grouped two-stage computation ``y = [L_1…L_g] diag(R_i) x``."""
+        return self.context().plan(weight_matrix, rank=rank, groups=groups).run(inputs).trial(0)
 
-        The exact reference is the *dense* product ``W x`` so the result's
-        relative error combines the intentional low-rank approximation error
-        with the hardware-induced error — the quantity that matters for
-        deployment decisions.
-        """
-        return self.context().lowrank_plan(weight_matrix, rank=rank, groups=groups).run(inputs)
-
-    # ------------------------------------------------------------------
-    # Batched Monte-Carlo robustness trials
-    # ------------------------------------------------------------------
     def run_dense_trials(
         self,
         weight_matrix: np.ndarray,
@@ -97,16 +77,8 @@ class IMCSimulator:
         trials: int,
         trial_stride: int = TRIAL_SEED_STRIDE,
     ) -> MonteCarloResult:
-        """Simulate ``trials`` independently-noisy programmings of ``y = W x``.
-
-        All trials execute in one batched matmul
-        (:class:`repro.engine.MonteCarloTiledMatrix`); trial ``t`` is
-        bit-identical in its programmed conductances to a sequential
-        ``run_dense`` with seed ``seed + t · trial_stride``.
-        """
-        return self.context().dense_monte_carlo_plan(
-            weight_matrix, trials=trials, trial_stride=trial_stride
-        ).run(inputs)
+        """``trials`` independently-noisy programmings of ``y = W x``, batched."""
+        return self.context().plan(weight_matrix, trials=trials, trial_stride=trial_stride).run(inputs)
 
     def run_lowrank_trials(
         self,
@@ -118,18 +90,15 @@ class IMCSimulator:
         trial_stride: int = TRIAL_SEED_STRIDE,
     ) -> MonteCarloResult:
         """Monte-Carlo trials of the grouped two-stage low-rank computation."""
-        return self.context().lowrank_monte_carlo_plan(
-            weight_matrix, rank=rank, trials=trials, groups=groups, trial_stride=trial_stride
+        return self.context().plan(
+            weight_matrix, trials=trials, rank=rank, groups=groups, trial_stride=trial_stride
         ).run(inputs)
 
-    # ------------------------------------------------------------------
-    # Convolution-level convenience wrappers
-    # ------------------------------------------------------------------
     def run_conv_im2col(
         self, weight: np.ndarray, inputs: np.ndarray, geometry: ConvGeometry
     ) -> SimulationResult:
         """Simulate a full convolution on its im2col input columns."""
-        return self.context().conv_dense_plan(weight, geometry).run(inputs)
+        return self.context().plan(weight, geometry).run(inputs).trial(0)
 
     def run_conv_lowrank(
         self,
@@ -140,4 +109,4 @@ class IMCSimulator:
         groups: int = 1,
     ) -> SimulationResult:
         """Simulate a convolution compressed with (group) low-rank factors."""
-        return self.context().conv_lowrank_plan(weight, geometry, rank=rank, groups=groups).run(inputs)
+        return self.context().plan(weight, geometry, rank=rank, groups=groups).run(inputs).trial(0)

@@ -47,8 +47,8 @@ def iter_tile_blocks(
     """Partition a logical matrix into its allocated crossbar tile blocks.
 
     This is the single source of truth for tile layout: allocation order,
-    zero-tile skipping and the block slices are shared by the legacy per-tile
-    :class:`TiledMatrix` and the batched executor in
+    zero-tile skipping and the block slices are shared by the per-tile
+    :class:`TiledMatrix` oracle and the batched tile kernel in
     :mod:`repro.engine.kernels`, which is what makes their seeded noise
     streams (and therefore their outputs) match exactly.
     """

@@ -18,7 +18,7 @@ Because :func:`repro.imc.tiles.iter_tile_blocks` never allocates an all-zero
 tile, programming the block-diagonal matrix through the ordinary dense-plan
 path places exactly the tiles :func:`tiles_for_grouped_conv` predicts in
 closed form — block-diagonal tile placement with no bespoke executor, for the
-batched engine and the legacy per-tile oracle alike.
+engine's tile kernel and the per-tile oracle alike.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ This package turns hardware robustness into a first-class experiment axis:
   noise model + cell resolution/dynamic range + DAC/ADC bit widths, with a
   registry of named corners (``ideal``, ``typical_rram``,
   ``worst_case_rram``, ``pcm_like``, ``faulty``);
-* the batched Monte-Carlo kernels live in :mod:`repro.engine.kernels`
-  (:class:`repro.engine.MonteCarloTiledMatrix`) and are driven from a
-  scenario via ``scenario.context(array).dense_monte_carlo_plan(...)`` or
-  the :class:`repro.imc.simulator.IMCSimulator` trial façades;
+* the batched Monte-Carlo kernel lives in :mod:`repro.engine.kernels`
+  (:class:`repro.engine.MonteCarloTiledMatrix`) and is driven from a
+  scenario via ``scenario.context(array).plan(weight, trials=R)`` or the
+  :class:`repro.imc.simulator.IMCSimulator` trial façades;
 * the registered ``robustness`` experiment
   (:mod:`repro.experiments.robustness`) sweeps scenario × mapping × network.
 """

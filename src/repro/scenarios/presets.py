@@ -116,7 +116,6 @@ class HardwareScenario:
         self,
         array: ArrayDims,
         seed: int = 0,
-        engine: str = "batched",
         base_peripherals: Optional[PeripheralSuite] = None,
         backend=None,
     ) -> ExecutionContext:
@@ -132,7 +131,6 @@ class HardwareScenario:
             input_bits=self.input_bits,
             output_bits=self.output_bits,
             seed=seed,
-            engine=engine,
             backend=backend,
         )
 

@@ -82,7 +82,7 @@ class TestThreadedBitIdentity:
     @pytest.mark.parametrize(
         "a_shape,b_shape",
         [
-            ((7, 9, 5), (7, 5, 4)),          # stacked tiles (BatchedTiledMatrix)
+            ((7, 9, 5), (7, 5, 4)),          # plain stacked slices
             ((1, 6, 8, 5), (3, 6, 5, 4)),    # shared-input Monte-Carlo broadcast
             ((3, 6, 8, 5), (3, 6, 5, 4)),    # per-trial input stacks
             ((2, 1, 4, 3), (2, 5, 3, 2)),    # inner broadcast axis

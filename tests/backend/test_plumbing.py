@@ -79,15 +79,6 @@ class TestContextPlumbing:
             ctx = ExecutionContext(array=small_array, backend="threaded")
         assert ctx.backend.name == "threaded"
 
-    def test_legacy_engine_pins_float64_oracle(self, small_array):
-        with using_backend("numpy32"):
-            ctx = ExecutionContext(array=small_array, engine="legacy")
-        assert ctx.backend.policy.name == "float64"
-
-    def test_legacy_engine_rejects_explicit_float32(self, small_array):
-        with pytest.raises(ValueError, match="float64"):
-            ExecutionContext(array=small_array, engine="legacy", backend="numpy32")
-
     def test_float32_plan_outputs(self, rng, small_array):
         weight = rng.standard_normal((16, 40))
         inputs = rng.standard_normal((4, 40))
@@ -95,8 +86,8 @@ class TestContextPlumbing:
         f32 = ExecutionContext(
             array=small_array, noise=NoiseModel.typical(), seed=2, backend="numpy32"
         )
-        out_ref = ref.dense_plan(weight).run(inputs)
-        out_f32 = f32.dense_plan(weight).run(inputs)
+        out_ref = ref.plan(weight).run(inputs)
+        out_f32 = f32.plan(weight).run(inputs)
         assert out_f32.outputs.dtype == np.float32
         policy = get_backend("numpy32").policy
         scale = float(np.abs(out_ref.outputs).max())
@@ -118,8 +109,8 @@ class TestContextPlumbing:
             array=small_array, noise=NoiseModel.typical(), seed=5, backend="numpy32"
         )
         np.testing.assert_array_equal(
-            ref.dense_plan(matrix).stages[0].stored_matrix(),
-            f32.dense_plan(matrix).stages[0].stored_matrix(),
+            ref.plan(matrix).stages[0].stored_matrix(),
+            f32.plan(matrix).stages[0].stored_matrix(),
         )
 
 

@@ -180,9 +180,9 @@ class TestCacheIntrospection:
             array=ArrayDims.square(32), decompositions=DecompositionCache()
         )
         assert context.attach_store(store) is context
-        context.lowrank_plan(rng.standard_normal((12, 9)), rank=3)
+        context.plan(rng.standard_normal((12, 9)), rank=3)
         assert store.puts > 0, "the context's private cache must spill through the store"
         puts = store.puts
         assert context.detach_store() is context
-        context.lowrank_plan(rng.standard_normal((8, 8)), rank=2)
+        context.plan(rng.standard_normal((8, 8)), rank=2)
         assert store.puts == puts

@@ -1,4 +1,7 @@
-"""Tests for the pipeline layer: ExecutionContext, LayerPlan, decomposition cache."""
+"""Tests for the pipeline layer: ExecutionContext, LayerPlan, decomposition cache.
+
+The per-family plan-vs-oracle battery lives in ``test_plan_oracle.py``.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +12,9 @@ from repro.backend import active_backend
 from repro.engine.cache import DecompositionCache, matrix_fingerprint
 from repro.engine.context import ExecutionContext
 from repro.imc.peripherals import CellSpec, PeripheralSuite
-from repro.imc.simulator import IMCSimulator
 from repro.lowrank.decompose import decompose
 from repro.lowrank.group import group_decompose
 from repro.mapping.geometry import ArrayDims, ConvGeometry
-
-from .precision_helpers import assert_outputs_match
 
 HIGH_PRECISION = PeripheralSuite(cell=CellSpec(conductance_levels=4096))
 
@@ -74,55 +74,19 @@ class TestDecompositionCache:
 
 
 class TestExecutionContext:
-    def test_rejects_unknown_engine(self, small_array):
-        with pytest.raises(ValueError):
-            ExecutionContext(array=small_array, engine="quantum")
-
-    def test_dense_plan_matches_legacy_simulator(self, rng, small_array):
-        """Batched and legacy engines agree through the full dense pipeline."""
-        matrix = rng.standard_normal((16, 40))
-        inputs = rng.standard_normal((5, 40))
-        results = {}
-        for engine in ("batched", "legacy"):
-            ctx = ExecutionContext(
-                array=small_array, peripherals=HIGH_PRECISION, seed=1, engine=engine
-            )
-            results[engine] = ctx.dense_plan(matrix).run(inputs)
-        assert_outputs_match(results["batched"].outputs, results["legacy"].outputs)
-        assert results["batched"].allocated_tiles == results["legacy"].allocated_tiles
-        assert results["batched"].activations == results["legacy"].activations
-        assert results["batched"].energy_pj == results["legacy"].energy_pj
-        np.testing.assert_array_equal(results["batched"].exact, results["legacy"].exact)
-
-    def test_lowrank_plan_matches_legacy_simulator(self, rng, small_array):
-        matrix = rng.standard_normal((16, 40))
-        inputs = rng.standard_normal((4, 40))
-        results = {}
-        for engine in ("batched", "legacy"):
-            ctx = ExecutionContext(
-                array=small_array, peripherals=HIGH_PRECISION, seed=1, engine=engine
-            )
-            results[engine] = ctx.lowrank_plan(matrix, rank=4, groups=2).run(inputs)
-        assert_outputs_match(
-            results["batched"].outputs, results["legacy"].outputs, slack=10.0
-        )
-        assert results["batched"].allocated_tiles == results["legacy"].allocated_tiles
-        assert results["batched"].energy_pj == results["legacy"].energy_pj
-        assert results["batched"].method == results["legacy"].method == "lowrank(g=2,k=4)"
-
     def test_conv_plan_consumes_nchw_inputs(self, rng, small_array):
         geometry = ConvGeometry(2, 4, 3, 3, 6, 6, stride=1, padding=1)
         weight = rng.standard_normal((4, 2, 3, 3))
         inputs = rng.standard_normal((2, 2, 6, 6))
         ctx = ExecutionContext(array=small_array, peripherals=HIGH_PRECISION)
-        result = ctx.conv_dense_plan(weight, geometry).run(inputs)
+        result = ctx.plan(weight, geometry).run(inputs).trial(0)
         assert result.outputs.shape == (2 * 36, 4)
         assert result.relative_error < 0.05
 
     def test_plan_reuse_across_batches(self, rng, small_array):
         """A plan programs tiles once; each run only executes (and counts) MVMs."""
         ctx = ExecutionContext(array=small_array, peripherals=HIGH_PRECISION)
-        plan = ctx.dense_plan(rng.standard_normal((16, 40)))
+        plan = ctx.plan(rng.standard_normal((16, 40)))
         first = plan.run(rng.standard_normal((3, 40)))
         second = plan.run(rng.standard_normal((2, 40)))
         assert first.activations == 3 * plan.allocated_tiles
@@ -134,18 +98,50 @@ class TestExecutionContext:
         matrix = rng.standard_normal((16, 40))
         for size in (32, 64, 128):
             ctx = ExecutionContext(array=ArrayDims.square(size), decompositions=cache)
-            ctx.lowrank_plan(matrix, rank=4, groups=2)
+            ctx.plan(matrix, rank=4, groups=2)
         assert cache.misses == 2  # one SVD per column block, shared by all sizes
         assert cache.hits == 4
 
-    def test_simulator_facade_engine_selection(self, rng, small_array):
-        """IMCSimulator(engine=...) drives the same plans as the raw context."""
-        matrix = rng.standard_normal((16, 40))
-        inputs = rng.standard_normal((3, 40))
-        batched = IMCSimulator(array=small_array, peripherals=HIGH_PRECISION, engine="batched")
-        legacy = IMCSimulator(array=small_array, peripherals=HIGH_PRECISION, engine="legacy")
-        rb = batched.run_dense(matrix, inputs)
-        rl = legacy.run_dense(matrix, inputs)
-        assert_outputs_match(rb.outputs, rl.outputs)
-        assert rb.allocated_tiles == rl.allocated_tiles
-        assert rb.energy_pj == rl.energy_pj
+
+def _nan_weight(rng):
+    weight = rng.standard_normal((32, 48))
+    weight[3, 4] = np.nan
+    return weight
+
+
+def _inf_input(rng):
+    inputs = rng.standard_normal((4, 48))
+    inputs[1, 2] = np.inf
+    return inputs
+
+
+#: case -> (context options, plan options, bad weight?, bad input?, message)
+BAD_INPUTS = {
+    "rank_exceeds_matrix": ({}, {"rank": 100}, False, False, "rank 100"),
+    "rank_exceeds_group": ({}, {"rank": 20, "groups": 4}, False, False, "rank 20"),
+    "groups_without_rank": ({}, {"groups": 2}, False, False, "groups=2 needs a rank"),
+    "groups_zero": ({}, {"rank": 4, "groups": 0}, False, False, "groups must be positive, got 0"),
+    "output_bits_zero": ({"output_bits": 0}, {}, False, False, "output_bits .* got 0"),
+    "input_bits_zero": ({"input_bits": 0}, {}, False, False, "input_bits .* got 0"),
+    "nan_weight": ({}, {}, True, False, "weights must be finite, got nan"),
+    "nan_weight_lowrank": ({}, {"rank": 4}, True, False, "weights must be finite, got nan"),
+    "inf_input": ({}, {}, False, True, "inputs must be finite, got inf"),
+}
+
+
+class TestBoundaryValidation:
+    """Bad hardware settings, ranks, weights and inputs fail loudly at the plan."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_rejected_with_named_value(self, rng, small_array, case):
+        ctx_options, plan_options, bad_weight, bad_input, message = BAD_INPUTS[case]
+        ctx = ExecutionContext(array=small_array, **ctx_options)
+        weight = _nan_weight(rng) if bad_weight else rng.standard_normal((32, 48))
+        inputs = _inf_input(rng) if bad_input else rng.standard_normal((4, 48))
+        with pytest.raises(ValueError, match=message):
+            ctx.plan(weight, **plan_options).run(inputs)
+
+    def test_rank_at_the_bound_is_accepted(self, rng, small_array):
+        ctx = ExecutionContext(array=small_array)
+        plan = ctx.plan(rng.standard_normal((32, 48)), rank=12, groups=4)
+        assert plan.method == "lowrank(g=4,k=12)"

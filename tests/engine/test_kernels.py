@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from repro.engine.kernels import BatchedTiledMatrix, im2col_columns, im2col_columns_loop
-from repro.imc.bitslicing import BitSlicedMatrix
+from repro.imc.bitslicing import BitSlicedMatrix, combine_slices
 from repro.imc.noise import NoiseModel
-from repro.imc.tiles import TiledMatrix, iter_tile_blocks
+from repro.imc.tiles import iter_tile_blocks
 from repro.lowrank.group import group_decompose
 from repro.mapping.geometry import ArrayDims, ConvGeometry
 
+from .oracle import oracle_stages, oracle_tiles
 from .precision_helpers import assert_outputs_match, assert_quantized_outputs_match
 
 NOISE_MODELS = {
@@ -74,10 +75,8 @@ class TestIm2colEquivalence:
 
 
 def build_pair(matrix, array, **kwargs):
-    return (
-        TiledMatrix(matrix, array, **kwargs),
-        BatchedTiledMatrix(matrix, array, **kwargs),
-    )
+    batched = BatchedTiledMatrix(matrix, array, **kwargs)
+    return oracle_tiles(batched), batched
 
 
 class TestBatchedTiledMatrixEquivalence:
@@ -180,20 +179,13 @@ class TestTileLayout:
 class TestBitSlicedBackends:
     @pytest.mark.parametrize("noise_name", ["ideal", "typical"])
     def test_backends_agree(self, rng, noise_name):
+        """The engine-backed slices agree with per-tile oracle slices of the same seeds."""
         array = ArrayDims(rows=32, cols=32, weight_bits=4, cell_bits=2)
         matrix = rng.standard_normal((12, 40))
-        pertile = BitSlicedMatrix(
-            matrix, array, noise=NOISE_MODELS[noise_name], seed=4, backend="pertile"
-        )
-        batched = BitSlicedMatrix(
-            matrix, array, noise=NOISE_MODELS[noise_name], seed=4, backend="batched"
-        )
-        assert pertile.num_allocated_tiles == batched.num_allocated_tiles
-        np.testing.assert_array_equal(pertile.quantized_matrix(), batched.quantized_matrix())
-        assert pertile.activation_energy_pj() == batched.activation_energy_pj()
+        sliced = BitSlicedMatrix(matrix, array, noise=NOISE_MODELS[noise_name], seed=4)
+        oracle = [oracle_stages(plan)[0] for plan in sliced._plans]
+        assert sliced.num_allocated_tiles == sum(t.num_allocated_tiles for t in oracle)
+        assert sliced.activation_energy_pj() == sum(t.activation_energy_pj() for t in oracle)
         inputs = rng.standard_normal((5, 40))
-        assert_outputs_match(batched.mvm_batch(inputs), pertile.mvm_batch(inputs))
-
-    def test_unknown_backend_rejected(self, rng, small_array):
-        with pytest.raises(ValueError):
-            BitSlicedMatrix(rng.standard_normal((4, 8)), small_array, backend="gpu")
+        expected = combine_slices([t.mvm_batch(inputs) for t in oracle], array.cell_bits)
+        assert_outputs_match(sliced.mvm_batch(inputs), expected * sliced.scale)

@@ -3,10 +3,12 @@
 The extended contract (see ENGINE.md): trial ``t`` of a
 :class:`MonteCarloTiledMatrix` draws its noise from generators seeded
 ``seed + t · trial_stride + allocation_index`` — exactly the streams of a
-sequential per-trial run that builds a fresh :class:`BatchedTiledMatrix` (or
-legacy :class:`TiledMatrix`) with seed ``seed + t · trial_stride``.  Programmed
-conductances are therefore bit-for-bit identical per trial; analog outputs
-agree up to floating-point associativity like the rest of the engine.
+sequential per-trial run that builds a fresh single-programming
+:class:`BatchedTiledMatrix` (or the per-tile :class:`TiledMatrix` oracle) with
+seed ``seed + t · trial_stride``.  Programmed conductances are therefore
+bit-for-bit identical per trial; analog outputs agree up to floating-point
+associativity like the rest of the engine.  Plan-level sequential
+equivalence, for every layer family, is asserted by ``test_plan_oracle.py``.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from repro.engine.kernels import (
 )
 from repro.imc.noise import NoiseModel
 from repro.imc.simulator import IMCSimulator
-from repro.imc.tiles import TiledMatrix
 from repro.mapping.geometry import ArrayDims
 
+from .oracle import oracle_tiles
 from .precision_helpers import assert_outputs_match, assert_quantized_outputs_match
 
 NOISE_MODELS = {
@@ -52,7 +54,7 @@ class TestTrialBitIdentity:
         noise = NoiseModel.typical()
         mc = MonteCarloTiledMatrix(matrix, small_array, trials=3, noise=noise, seed=4)
         for trial in range(3):
-            legacy = TiledMatrix(matrix, small_array, noise=noise, seed=mc.trial_seed(trial))
+            legacy = oracle_tiles(mc, trial)
             np.testing.assert_array_equal(mc.stored_matrix(trial), legacy.stored_matrix())
 
     def test_trials_draw_independent_noise(self, rng, small_array):
@@ -166,28 +168,6 @@ class TestTrialOutputs:
 
 
 class TestMonteCarloPlans:
-    def test_two_stage_plan_matches_sequential_contexts(self, rng):
-        """Low-rank MC plans chain per-trial intermediates like a sequential run."""
-        weight = rng.standard_normal((32, 64))
-        ctx = ExecutionContext(
-            array=ArrayDims.square(32), noise=NoiseModel.typical(), seed=9
-        )
-        inputs = rng.standard_normal((6, 64))
-        plan = ctx.lowrank_monte_carlo_plan(weight, rank=8, trials=3, groups=2)
-        result = plan.run(inputs)
-        assert result.outputs.shape == (3, 6, 32)
-        for trial in range(3):
-            sequential_plan = ctx.trial_context(trial).lowrank_plan(weight, rank=8, groups=2)
-            sequential = sequential_plan.run(inputs)
-            for stage_mc, stage_seq in zip(plan.stages, sequential_plan.stages):
-                np.testing.assert_array_equal(
-                    stage_mc.stored_matrix(trial), stage_seq.stored_matrix()
-                )
-            assert_outputs_match(result.outputs[trial], sequential.outputs)
-            np.testing.assert_array_equal(result.exact, sequential.exact)
-            assert result.energy_pj == sequential.energy_pj
-            assert result.allocated_tiles == sequential.allocated_tiles
-
     def test_stage_noise_streams_are_decorrelated(self, rng):
         """Stage 2's tiles must not reuse stage 1's per-tile RNG streams.
 
@@ -210,19 +190,17 @@ class TestMonteCarloPlans:
         np.testing.assert_array_equal(a._diff[0, 1], b._diff[0, 0])
         # The plan stages are spaced far beyond their tile counts.
         ctx = ExecutionContext(array=array, noise=noise, seed=0)
-        plan = ctx.lowrank_monte_carlo_plan(
-            rng.standard_normal((64, 64)), rank=32, trials=2, groups=1
-        )
+        plan = ctx.plan(rng.standard_normal((64, 64)), trials=2, rank=32)
         stage1, stage2 = plan.stages
         assert stage2.seed - stage1.seed == STAGE_SEED_STRIDE
         assert STAGE_SEED_STRIDE > stage1.num_allocated_tiles
-        sequential = ctx.lowrank_plan(rng.standard_normal((64, 64)), rank=32, groups=1)
+        sequential = ctx.plan(rng.standard_normal((64, 64)), rank=32)
         assert sequential.stages[1].seed - sequential.stages[0].seed == STAGE_SEED_STRIDE
 
     def test_dense_plan_statistics(self, rng):
         weight = rng.standard_normal((24, 48))
         ctx = ExecutionContext(array=ArrayDims.square(32), noise=NoiseModel.typical(), seed=1)
-        result = ctx.dense_monte_carlo_plan(weight, trials=5).run(rng.standard_normal((8, 48)))
+        result = ctx.plan(weight, trials=5).run(rng.standard_normal((8, 48)))
         errors = result.relative_errors
         assert errors.shape == (5,)
         assert result.mean_relative_error == pytest.approx(float(np.mean(errors)))

@@ -143,3 +143,24 @@ class TestShardSpec:
         fingerprint = experiment_fingerprint("prop", config)
         owners = [k for k in range(1, n + 1) if shard_owns(fingerprint, k, n)]
         assert len(owners) == 1
+
+
+@dataclass(frozen=True)
+class ErrorCell:
+    label: str
+    errors: List[float]
+
+
+class TestNonFiniteCells:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_save_refuses_non_finite_and_leaves_store_unchanged(self, tmp_path, bad):
+        root = tmp_path / "store"
+        cache = SweepCache(ExperimentStore(root), "test/errors", cell_config, ErrorCell)
+        cache.save(cache.fingerprint((0, 0)), ErrorCell("ok", [0.5, 1.0]))
+        before = sorted(path.relative_to(root) for path in root.rglob("*"))
+        fingerprint = cache.fingerprint((1, 0))
+        with pytest.raises(ValueError, match=r"result\.errors\[1\] = "):
+            cache.save(fingerprint, ErrorCell("bad", [0.5, bad]))
+        assert sorted(path.relative_to(root) for path in root.rglob("*")) == before
+        assert cache.load(fingerprint) is SweepCache._MISS
+        assert cache.computed == 1

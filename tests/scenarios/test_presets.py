@@ -96,7 +96,6 @@ class TestScenarioBuilders:
     def test_context_wiring(self):
         ctx = WORST_CASE_RRAM.context(ArrayDims.square(64), seed=3)
         assert ctx.seed == 3
-        assert ctx.engine == "batched"
         assert ctx.input_bits == WORST_CASE_RRAM.input_bits
         assert ctx.output_bits == WORST_CASE_RRAM.output_bits
         assert ctx.noise == WORST_CASE_RRAM.noise_model(3)
@@ -105,7 +104,7 @@ class TestScenarioBuilders:
     def test_context_runs_a_plan(self, rng):
         ctx = TYPICAL_RRAM.context(ArrayDims.square(32), seed=1)
         weight = rng.standard_normal((16, 32))
-        result = ctx.dense_monte_carlo_plan(weight, trials=2).run(rng.standard_normal((4, 32)))
+        result = ctx.plan(weight, trials=2).run(rng.standard_normal((4, 32)))
         assert result.outputs.shape == (2, 4, 16)
         assert result.mean_relative_error > 0
 
@@ -116,7 +115,7 @@ class TestScenarioBuilders:
         errors = {}
         for name in ("ideal", "typical_rram", "worst_case_rram"):
             ctx = get_scenario(name).context(ArrayDims.square(32), seed=2)
-            errors[name] = ctx.dense_monte_carlo_plan(weight, trials=3).run(inputs).mean_relative_error
+            errors[name] = ctx.plan(weight, trials=3).run(inputs).mean_relative_error
         assert errors["ideal"] < errors["typical_rram"] < errors["worst_case_rram"]
 
 
