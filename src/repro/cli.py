@@ -200,6 +200,17 @@ def _compare_text(args: argparse.Namespace) -> str:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be >= 1 (rejected before any run)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -241,20 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser("report", help="reproduce every table and figure")
     report.add_argument("--plots", action="store_true")
     report.add_argument(
-        "--arrays", type=int, nargs="+", default=None, metavar="SIZE",
+        "--arrays", type=_positive_int, nargs="+", default=None, metavar="SIZE",
         help="restrict the Fig. 6 array-size sweep (e.g. --arrays 64 128)",
-    )
-    report.add_argument(
-        "--jobs", type=int, default=1,
-        help="run the experiment harnesses concurrently with this many workers",
     )
     report.add_argument(
         "--json", type=str, default="", dest="json_path",
         help="also write a machine-readable JSON report to this file",
     )
     report.add_argument(
-        "--trials", type=int, default=8,
-        help="Monte-Carlo trial count of the robustness scenario sweep",
+        "--trials", type=_positive_int, default=8,
+        help="Monte-Carlo trial count of the robustness and layer-families sweeps",
     )
     report.add_argument(
         "--shard", type=str, default="", metavar="K/N",
@@ -282,14 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation networks to sweep",
     )
     robustness.add_argument(
-        "--trials", type=int, default=8, help="independent noisy programmings per point"
+        "--trials", type=_positive_int, default=8,
+        help="independent noisy programmings per point"
     )
     robustness.add_argument(
         "--array", type=int, choices=(32, 64, 128), default=64, help="crossbar array size"
-    )
-    robustness.add_argument(
-        "--jobs", type=int, default=1,
-        help="run the (network, scenario) sweep cells concurrently with this many workers",
     )
     robustness.add_argument(
         "--json", type=str, default="", dest="json_path",
@@ -314,14 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"restrict the scenario sweep (default: all of {', '.join(scenario_names())})",
     )
     layer_families.add_argument(
-        "--trials", type=int, default=8, help="independent noisy programmings per point"
+        "--trials", type=_positive_int, default=8,
+        help="independent noisy programmings per point"
     )
     layer_families.add_argument(
         "--array", type=int, choices=(32, 64, 128), default=64, help="crossbar array size"
-    )
-    layer_families.add_argument(
-        "--jobs", type=int, default=1,
-        help="run the (family, scenario) sweep cells concurrently with this many workers",
     )
     layer_families.add_argument(
         "--json", type=str, default="", dest="json_path",
@@ -452,16 +453,12 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser, store) 
             shard,
             store,
             include_fig6_arrays=args.arrays,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
             robustness_trials=args.trials,
         )
         text = format_shard_summary(stats)
     elif args.command == "report":
         suite = run_all(
             include_fig6_arrays=args.arrays,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
             robustness_trials=args.trials,
             store=store,
             workers=args.workers,
@@ -479,8 +476,6 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser, store) 
             scenarios=tuple(args.scenarios) if args.scenarios else None,
             trials=args.trials,
             array_size=args.array,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
             store=store,
             workers=args.workers,
         )
@@ -497,8 +492,6 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser, store) 
             scenarios=tuple(args.scenarios) if args.scenarios else None,
             trials=args.trials,
             array_size=args.array,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
             store=store,
             workers=args.workers,
         )

@@ -1,12 +1,15 @@
-"""Experiment layer: sweep registry, parallel + incremental sweep mapping.
+"""Experiment layer: sweep registry and the one sweep driver.
 
-Instead of five harnesses each re-wiring mapping + decomposition + simulation
-by hand, every paper artefact (Table I, Figs. 6–9) registers an
-:class:`ExperimentSpec` describing how to run, format and serialize itself.
-The registry-based runner (:func:`run_experiments`) executes the registered
-sweeps through the shared engine — optionally in parallel via
-:mod:`concurrent.futures` — and :func:`to_jsonable` turns any result
-dataclass tree into machine-readable JSON for the report emitter.
+Every paper artefact (Table I, Figs. 6–9, robustness, layer families) is a
+sweep over a grid of cells.  Its harness registers an :class:`ExperimentSpec`
+declaring that grid — the cell function, the cell's store key schema and a
+plan that turns the domain parameters into sweep points plus an assembler —
+and :meth:`ExperimentSpec.run` executes it, the same way for every
+experiment: serially, incrementally against a store, as one shard of a wider
+partition, or across worker processes (:mod:`repro.parallel`).
+:func:`run_experiments` runs any subset of the registry and
+:func:`to_jsonable` turns any result dataclass tree into machine-readable
+JSON for the report emitter.
 
 With a :class:`SweepCache` (an :class:`repro.store.ExperimentStore` plus the
 cell key schema of one sweep), :func:`map_sweep` becomes *incremental*: each
@@ -21,7 +24,6 @@ without coordinating beyond the shared store).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,10 +46,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered paper artefact: how to run, format and serialize it.
+    """One registered paper artefact: its grid, how to format and serialize it.
 
-    ``runner`` accepts the sweep keyword arguments of the harness (each
-    harness keeps its historical signature); ``formatter`` renders a result to
+    The cell schema is what the store keys and decodes one grid cell with:
+    ``kind`` names the artifact family (e.g. ``table1/row``), ``cell(*point)``
+    computes the cell of one sweep point, ``cell_config(*point)`` is its
+    canonical configuration and ``result_type`` the type its stored payload
+    decodes back into.  ``plan(**params)`` validates the harness's domain
+    parameters (raising on bad ones) and returns ``(points, assemble)``: the
+    grid's sweep points and the function that turns their cell results, in
+    order, into the experiment's result.  ``formatter`` renders a result to
     the plain-text report block (``formatter(result, include_plots=False)``);
     ``serializer`` converts a result to a JSON-able structure (defaults to
     :func:`to_jsonable`).
@@ -55,12 +63,62 @@ class ExperimentSpec:
 
     name: str
     title: str
-    runner: Callable[..., Any]
+    kind: str
+    cell: Callable[..., Any]
+    cell_config: Callable[..., Mapping[str, Any]]
+    result_type: Any
+    plan: Callable[..., Tuple[Sequence[Any], Callable[[List[Any]], Any]]]
     formatter: Callable[..., str]
-    serializer: Callable[[Any], Any] = None  # type: ignore[assignment]
+    serializer: Optional[Callable[[Any], Any]] = None
 
-    def run(self, **overrides: Any) -> Any:
-        return self.runner(**overrides)
+    def run(
+        self,
+        *,
+        store: Optional[ExperimentStore] = None,
+        shard: Optional[Tuple[int, int]] = None,
+        backend: Optional[str] = None,
+        workers: Optional[int] = None,
+        lease_ttl: Optional[float] = None,
+        **params: Any,
+    ) -> Any:
+        """Execute the experiment's grid; the one sweep driver of every harness.
+
+        ``params`` are the harness's domain parameters (validated by
+        ``plan`` before anything runs).  With ``store`` the sweep is
+        incremental: cells already materialized are decoded, fresh ones
+        persisted.  With ``shard=(k, n)`` (requires ``store``) only the cells
+        shard ``k`` owns are computed and a :class:`ShardStats` summary is
+        returned instead of the result.  ``backend`` scopes the execution
+        backend of the sweep (store fingerprint salting included); ``None``
+        keeps the active default.  ``workers > 1`` (default
+        ``$REPRO_WORKERS``, else 1) computes the cells in worker processes
+        with store-shard work stealing (:mod:`repro.parallel`), ``lease_ttl``
+        overriding the shard-lease TTL of such a run (an explicit value beats
+        ``$REPRO_LEASE_TTL``).
+        """
+        points, assemble = self.plan(**params)
+        if shard is None:
+            from ..parallel import resolve_workers, run_experiments_parallel
+
+            count = resolve_workers(workers)
+            if count > 1:
+                results = run_experiments_parallel(
+                    [self.name],
+                    {self.name: params},
+                    store=store,
+                    workers=count,
+                    backend=backend,
+                    lease_ttl=lease_ttl,
+                )
+                return results[self.name]
+        cache = (
+            SweepCache(store, self.kind, self.cell_config, self.result_type)
+            if store is not None
+            else None
+        )
+        with using_backend(backend):
+            cells = map_sweep(self.cell, points, cache=cache, shard=shard)
+        return cells if shard is not None else assemble(cells)
 
     def format(self, result: Any, include_plots: bool = False) -> str:
         return self.formatter(result, include_plots=include_plots)
@@ -204,32 +262,16 @@ def shard_owns(fingerprint: str, k: int, n: int) -> bool:
     return int(fingerprint[:8], 16) % n == k - 1
 
 
-def _run_points(
-    fn: Callable[..., Any],
-    args_list: Sequence[Tuple[Any, ...]],
-    parallel: bool,
-    max_workers: Optional[int],
-) -> List[Any]:
-    if not parallel or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda args: fn(*args), args_list))
-
-
 def map_sweep(
     fn: Callable[..., Any],
     points: Sequence[Any],
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     cache: Optional[SweepCache] = None,
     shard: Optional[Tuple[int, int]] = None,
 ) -> Any:
-    """Apply ``fn`` to every sweep point, optionally via a thread pool.
+    """Apply ``fn`` to every sweep point, in order.
 
     Sweep points are tuples of positional arguments (bare values are treated
-    as 1-tuples).  Results keep the order of ``points``.  Threads are the
-    right pool here: the work is numpy/BLAS-bound, which releases the GIL, and
-    the engine's module-level memoization caches stay shared.
+    as 1-tuples).  Results keep the order of ``points``.
 
     With ``cache`` the sweep is incremental: cells whose fingerprint is
     already materialized in the store are decoded instead of recomputed, and
@@ -245,7 +287,7 @@ def map_sweep(
     if cache is None:
         if shard is not None:
             raise ValueError("sharded execution requires a sweep cache (a store)")
-        return _run_points(fn, args_list, parallel, max_workers)
+        return [fn(*args) for args in args_list]
 
     fingerprints = [cache.fingerprint(args) for args in args_list]
     if shard is not None:
@@ -259,58 +301,38 @@ def map_sweep(
                 stats.resumed += 1
             else:
                 todo.append((args, fingerprint))
-
-        def compute_and_store(args: Tuple[Any, ...], fingerprint: str) -> None:
+        for args, fingerprint in todo:
             cache.save(fingerprint, fn(*args))
-
-        _run_points(compute_and_store, todo, parallel, max_workers)
         stats.computed = len(todo)
         return stats
 
-    results: List[Any] = [None] * len(args_list)
-    missing: List[Tuple[int, Tuple[Any, ...], str]] = []
+    results = [cache.load(fingerprint) for fingerprint in fingerprints]
     for index, (args, fingerprint) in enumerate(zip(args_list, fingerprints)):
-        cached = cache.load(fingerprint)
-        if cached is not SweepCache._MISS:
-            results[index] = cached
-        else:
-            missing.append((index, args, fingerprint))
-
-    def compute_one(index: int, args: Tuple[Any, ...], fingerprint: str) -> Any:
-        result = fn(*args)
-        cache.save(fingerprint, result)
-        return result
-
-    computed = _run_points(compute_one, missing, parallel, max_workers)
-    for (index, _, _), result in zip(missing, computed):
-        results[index] = result
+        if results[index] is SweepCache._MISS:
+            results[index] = fn(*args)
+            cache.save(fingerprint, results[index])
     return results
 
 
 def run_experiments(
     names: Optional[Sequence[str]] = None,
     overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Execute registered experiments and return ``{name: result}``.
 
-    ``overrides`` maps experiment names to keyword arguments forwarded to the
-    harness (e.g. ``{"fig6": {"array_sizes": (64, 128)}}``).  With
-    ``parallel=True`` the experiments run concurrently in a thread pool; the
-    shared workload / decomposition caches make this safe and keep the work
-    deduplicated.  ``backend`` scopes the execution backend every harness
-    (and its fingerprint salting) runs under; ``None`` keeps the active
-    default.
+    ``overrides`` maps experiment names to keyword arguments of
+    :meth:`ExperimentSpec.run` (e.g. ``{"fig6": {"array_sizes": (64, 128)}}``,
+    a ``store`` or a ``shard``).  ``backend`` scopes the execution backend
+    every experiment (and its fingerprint salting) runs under; ``None`` keeps
+    the active default.
 
     ``workers`` (default: ``$REPRO_WORKERS``, else 1) scales the run across
-    worker *processes* instead: the grids are partitioned into
-    fingerprint-hash shards, workers claim shards through store leases
+    worker *processes*: the grids of all selected experiments are partitioned
+    into fingerprint-hash shards, workers claim shards through store leases
     (:mod:`repro.parallel`), and the results are assembled from the shared
-    store — byte-identical to a serial run.  Process parallelism subsumes the
-    thread pool (``parallel``/``max_workers`` are ignored with ``workers > 1``).
+    store — byte-identical to a serial run.
     """
     registry = experiment_registry()
     if names is None:
@@ -322,25 +344,23 @@ def run_experiments(
         selected = list(names)
     overrides = overrides or {}
 
-    from ..parallel import resolve_workers
+    from ..parallel import resolve_workers, run_experiments_parallel
 
     # An embedded shard means the caller is one shard of a wider partition
     # (``repro report --shard K/N``) — explicitly single-process work that a
     # global $REPRO_WORKERS must not re-partition.
     sharded = any(dict(overrides.get(name, {})).get("shard") for name in selected)
     if not sharded and resolve_workers(workers) > 1:
-        from ..parallel import run_experiments_parallel
-
         return run_experiments_parallel(
             selected, overrides, workers=resolve_workers(workers), backend=backend
         )
-
-    def run_one(name: str) -> Any:
-        return registry[name].run(**dict(overrides.get(name, {})))
-
+    # The serial decision is made for the whole run: an experiment without an
+    # explicit ``workers`` override must not re-read $REPRO_WORKERS.
     with using_backend(backend):
-        results = map_sweep(run_one, selected, parallel=parallel, max_workers=max_workers)
-    return dict(zip(selected, results))
+        return {
+            name: registry[name].run(**{"workers": 1, **dict(overrides.get(name, {}))})
+            for name in selected
+        }
 
 
 def to_jsonable(value: Any) -> Any:

@@ -16,21 +16,13 @@ series by :func:`headline_metrics`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..analysis.pareto import pareto_front
 from ..analysis.plots import ascii_scatter
 from ..analysis.tables import format_cycles, format_table
-from ..backend import using_backend
-from ..engine.sweep import (
-    ExperimentSpec,
-    ShardStats,
-    SweepCache,
-    map_sweep,
-    register_experiment,
-)
+from ..engine.sweep import ExperimentSpec, ShardStats, register_experiment
 from ..mapping.geometry import ArrayDims
-from ..store import ExperimentStore
 from .common import (
     ARRAY_SIZES,
     GROUP_COUNTS,
@@ -171,60 +163,30 @@ def _fig6_cell_config(
     }
 
 
-def run_fig6(
+def _fig6_plan(
     networks: Sequence[str] = ("resnet20", "wrn16_4"),
     array_sizes: Sequence[int] = ARRAY_SIZES,
     group_counts: Sequence[int] = GROUP_COUNTS,
     rank_divisors: Sequence[int] = RANK_DIVISORS,
     pruning_entries: Sequence[int] = PRUNING_ENTRIES,
-    parallel: bool = False,
-    store: Optional[ExperimentStore] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    lease_ttl: Optional[float] = None,
-) -> Union[Fig6Result, ShardStats]:
-    """Compute every Fig. 6 panel (incrementally / sharded when a store is given).
-
-    ``backend`` scopes the execution backend of the sweep; ``None`` keeps the
-    active default.  ``workers > 1`` (default ``$REPRO_WORKERS``) computes the
-    panels in worker processes with store-shard work stealing.  ``lease_ttl`` overrides the shard-lease TTL of such a parallel run (an explicit value beats ``$REPRO_LEASE_TTL``).
-    """
-    from ..parallel import resolve_workers
-
-    if shard is None and resolve_workers(workers) > 1:
-        from ..parallel import run_experiment_parallel
-
-        return run_experiment_parallel(
-            "fig6",
-            {
-                "networks": tuple(networks),
-                "array_sizes": tuple(array_sizes),
-                "group_counts": tuple(group_counts),
-                "rank_divisors": tuple(rank_divisors),
-                "pruning_entries": tuple(pruning_entries),
-            },
-            store=store,
-            workers=resolve_workers(workers),
-            backend=backend,
-            lease_ttl=lease_ttl,
-        )
+) -> Tuple[List[Tuple[Any, ...]], Callable[[List[Fig6Panel]], Fig6Result]]:
+    """Fig. 6's grid: one (network, array size) panel per point."""
     points = [
         (network, size, tuple(group_counts), tuple(rank_divisors), tuple(pruning_entries))
         for network in networks
         for size in array_sizes
     ]
-    cache = (
-        SweepCache(store, "fig6/panel", _fig6_cell_config, Fig6Panel)
-        if store is not None
-        else None
-    )
-    with using_backend(backend):
-        panels = map_sweep(_fig6_panel, points, parallel=parallel, cache=cache, shard=shard)
-    if shard is not None:
-        return panels
-    return Fig6Result(panels=panels)
+    return points, lambda panels: Fig6Result(panels=panels)
 
+def run_fig6(**params: Any) -> Union[Fig6Result, ShardStats]:
+    """Compute every Fig. 6 panel.
+
+    Domain keywords: ``networks``, ``array_sizes``, ``group_counts``,
+    ``rank_divisors``, ``pruning_entries``.  The execution keywords
+    ``store``/``shard``/``backend``/``workers``/``lease_ttl`` are those of
+    :meth:`~repro.engine.sweep.ExperimentSpec.run`.
+    """
+    return FIG6.run(**params)
 
 def headline_metrics(panel: Fig6Panel) -> Dict[str, float]:
     """Extract the panel's headline comparisons against pruning.
@@ -279,11 +241,15 @@ def format_fig6(result: Fig6Result, include_plots: bool = True) -> str:
     return "\n\n".join(blocks)
 
 
-register_experiment(
+FIG6 = register_experiment(
     ExperimentSpec(
         name="fig6",
         title="Fig. 6 — accuracy vs. computing cycles vs. pattern pruning",
-        runner=run_fig6,
+        kind="fig6/panel",
+        cell=_fig6_panel,
+        cell_config=_fig6_cell_config,
+        result_type=Fig6Panel,
+        plan=_fig6_plan,
         formatter=format_fig6,
     )
 )

@@ -11,21 +11,13 @@ size, exactly like the bars in the figure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..analysis.plots import ascii_bars
 from ..analysis.tables import format_table
-from ..backend import using_backend
-from ..engine.sweep import (
-    ExperimentSpec,
-    ShardStats,
-    SweepCache,
-    map_sweep,
-    register_experiment,
-)
+from ..engine.sweep import ExperimentSpec, ShardStats, register_experiment
 from ..imc.energy import EnergyModel
 from ..mapping.geometry import ArrayDims
-from ..store import ExperimentStore
 from .common import (
     ARRAY_SIZES,
     baseline_energy,
@@ -132,67 +124,33 @@ def _fig7_cell_config(
     }
 
 
-def run_fig7(
+def _fig7_plan(
     networks: Sequence[str] = ("resnet20", "wrn16_4"),
     array_sizes: Sequence[int] = ARRAY_SIZES,
     groups: int = OURS_GROUPS,
     rank_divisor: int = OURS_RANK_DIVISOR,
     pattern_entries: int = PATTERN_ENTRIES,
     model: Optional[EnergyModel] = None,
-    parallel: bool = False,
-    store: Optional[ExperimentStore] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    lease_ttl: Optional[float] = None,
-) -> Union[Fig7Result, ShardStats]:
-    """Compute the Fig. 7 energy comparison (incremental / sharded with a store).
-
-    ``workers > 1`` (default ``$REPRO_WORKERS``) computes the bars in worker
-    processes with store-shard work stealing.  ``lease_ttl`` overrides the shard-lease TTL of such a parallel run (an explicit value beats ``$REPRO_LEASE_TTL``).
-    """
-    from ..parallel import resolve_workers
-
-    if shard is None and resolve_workers(workers) > 1:
-        from ..parallel import run_experiment_parallel
-
-        overrides = {
-            "networks": tuple(networks),
-            "array_sizes": tuple(array_sizes),
-            "groups": groups,
-            "rank_divisor": rank_divisor,
-            "pattern_entries": pattern_entries,
-        }
-        if model is not None:
-            # A custom energy model travels to the workers by pickle; the
-            # default stays None so every worker builds its own (identical)
-            # EnergyModel instead of shipping one around.
-            overrides["model"] = model
-        return run_experiment_parallel(
-            "fig7",
-            overrides,
-            store=store,
-            workers=resolve_workers(workers),
-            backend=backend,
-            lease_ttl=lease_ttl,
-        )
+) -> Tuple[List[Tuple[Any, ...]], Callable[[List[Fig7Bar]], Fig7Result]]:
+    """Fig. 7's grid: one (network, array size) energy bar per point."""
     model = model if model is not None else EnergyModel()
     points = [
         (network, size, groups, rank_divisor, pattern_entries, model)
         for network in networks
         for size in array_sizes
     ]
-    cache = (
-        SweepCache(store, "fig7/bar", _fig7_cell_config, Fig7Bar)
-        if store is not None
-        else None
-    )
-    with using_backend(backend):
-        bars = map_sweep(_fig7_bar, points, parallel=parallel, cache=cache, shard=shard)
-    if shard is not None:
-        return bars
-    return Fig7Result(bars=bars)
+    return points, lambda bars: Fig7Result(bars=bars)
 
+def run_fig7(**params: Any) -> Union[Fig7Result, ShardStats]:
+    """Compute the Fig. 7 energy comparison.
+
+    Domain keywords: ``networks``, ``array_sizes``, ``groups``,
+    ``rank_divisor``, ``pattern_entries``, ``model`` (an
+    :class:`~repro.imc.energy.EnergyModel`; default: the stock model).  The
+    execution keywords ``store``/``shard``/``backend``/``workers``/
+    ``lease_ttl`` are those of :meth:`~repro.engine.sweep.ExperimentSpec.run`.
+    """
+    return FIG7.run(**params)
 
 def format_fig7(result: Fig7Result, include_plots: bool = True) -> str:
     """Render the normalized-energy bars as tables (and optional ASCII bars)."""
@@ -224,11 +182,15 @@ def format_fig7(result: Fig7Result, include_plots: bool = True) -> str:
     return "\n\n".join(blocks)
 
 
-register_experiment(
+FIG7 = register_experiment(
     ExperimentSpec(
         name="fig7",
         title="Fig. 7 — normalized energy vs. im2col and pattern pruning",
-        runner=run_fig7,
+        kind="fig7/bar",
+        cell=_fig7_bar,
+        cell_config=_fig7_cell_config,
+        result_type=Fig7Bar,
+        plan=_fig7_plan,
         formatter=format_fig7,
     )
 )

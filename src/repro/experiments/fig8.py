@@ -11,21 +11,13 @@ models them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..analysis.pareto import pareto_front
 from ..analysis.plots import ascii_scatter
 from ..analysis.tables import format_cycles, format_table
-from ..backend import using_backend
-from ..engine.sweep import (
-    ExperimentSpec,
-    ShardStats,
-    SweepCache,
-    map_sweep,
-    register_experiment,
-)
+from ..engine.sweep import ExperimentSpec, ShardStats, register_experiment
 from ..mapping.geometry import ArrayDims
-from ..store import ExperimentStore
 from .common import (
     GROUP_COUNTS,
     QUANTIZATION_BITS,
@@ -141,58 +133,29 @@ def _fig8_cell_config(
     }
 
 
-def run_fig8(
+def _fig8_plan(
     network: str = "resnet20",
     array_sizes: Sequence[int] = FIG8_ARRAY_SIZES,
     bits: Sequence[int] = QUANTIZATION_BITS,
     group_counts: Sequence[int] = GROUP_COUNTS,
     rank_divisors: Sequence[int] = RANK_DIVISORS,
-    parallel: bool = False,
-    store: Optional[ExperimentStore] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    lease_ttl: Optional[float] = None,
-) -> Union[Fig8Result, ShardStats]:
-    """Compute the Fig. 8 comparison for one network (ResNet-20 in the paper).
-
-    ``workers > 1`` (default ``$REPRO_WORKERS``) computes the panels in worker
-    processes with store-shard work stealing.  ``lease_ttl`` overrides the shard-lease TTL of such a parallel run (an explicit value beats ``$REPRO_LEASE_TTL``).
-    """
-    from ..parallel import resolve_workers
-
-    if shard is None and resolve_workers(workers) > 1:
-        from ..parallel import run_experiment_parallel
-
-        return run_experiment_parallel(
-            "fig8",
-            {
-                "network": network,
-                "array_sizes": tuple(array_sizes),
-                "bits": tuple(bits),
-                "group_counts": tuple(group_counts),
-                "rank_divisors": tuple(rank_divisors),
-            },
-            store=store,
-            workers=resolve_workers(workers),
-            backend=backend,
-            lease_ttl=lease_ttl,
-        )
+) -> Tuple[List[Tuple[Any, ...]], Callable[[List[Fig8Panel]], Fig8Result]]:
+    """Fig. 8's grid: one array-size panel of one network per point."""
     points = [
         (network, size, tuple(bits), tuple(group_counts), tuple(rank_divisors))
         for size in array_sizes
     ]
-    cache = (
-        SweepCache(store, "fig8/panel", _fig8_cell_config, Fig8Panel)
-        if store is not None
-        else None
-    )
-    with using_backend(backend):
-        panels = map_sweep(_fig8_panel, points, parallel=parallel, cache=cache, shard=shard)
-    if shard is not None:
-        return panels
-    return Fig8Result(panels=panels)
+    return points, lambda panels: Fig8Result(panels=panels)
 
+def run_fig8(**params: Any) -> Union[Fig8Result, ShardStats]:
+    """Compute the Fig. 8 comparison for one network (ResNet-20 in the paper).
+
+    Domain keywords: ``network``, ``array_sizes``, ``bits``,
+    ``group_counts``, ``rank_divisors``.  The execution keywords
+    ``store``/``shard``/``backend``/``workers``/``lease_ttl`` are those of
+    :meth:`~repro.engine.sweep.ExperimentSpec.run`.
+    """
+    return FIG8.run(**params)
 
 def format_fig8(result: Fig8Result, include_plots: bool = True) -> str:
     blocks: List[str] = []
@@ -228,11 +191,15 @@ def format_fig8(result: Fig8Result, include_plots: bool = True) -> str:
     return "\n\n".join(blocks)
 
 
-register_experiment(
+FIG8 = register_experiment(
     ExperimentSpec(
         name="fig8",
         title="Fig. 8 — accuracy vs. cycles vs. dedicated quantized models",
-        runner=run_fig8,
+        kind="fig8/panel",
+        cell=_fig8_panel,
+        cell_config=_fig8_cell_config,
+        result_type=Fig8Panel,
+        plan=_fig8_plan,
         formatter=format_fig8,
     )
 )

@@ -26,19 +26,12 @@ almost entirely idle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..analysis.tables import format_energy_pj, format_table
-from ..backend import using_backend
-from ..engine.sweep import (
-    ExperimentSpec,
-    ShardStats,
-    SweepCache,
-    map_sweep,
-    register_experiment,
-)
+from ..engine.sweep import ExperimentSpec, ShardStats, register_experiment
 from ..mapping.geometry import (
     ArrayDims,
     ConvGeometry,
@@ -48,7 +41,6 @@ from ..mapping.geometry import (
 from ..mapping.cycles import tiles_for_matrix
 from ..mapping.grouped import tiles_for_grouped_conv
 from ..scenarios import get_scenario, scenario_names
-from ..store import ExperimentStore
 from ..workloads import network_geometries
 
 __all__ = [
@@ -243,29 +235,18 @@ def _layer_families_cell_config(
     }
 
 
-def run_layer_families(
+def _layer_families_plan(
     families: Sequence[str] = FAMILIES,
     scenarios: Optional[Sequence[str]] = None,
     trials: int = 8,
     array_size: int = 64,
     batch: int = 16,
     seed: int = 0,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
-    store: Optional[ExperimentStore] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    lease_ttl: Optional[float] = None,
-) -> Union[LayerFamiliesResult, ShardStats]:
-    """Sweep layer family × hardware scenario with batched Monte-Carlo trials.
+) -> Tuple[List[Tuple[Any, ...]], Callable[[List[LayerFamilyPoint]], LayerFamiliesResult]]:
+    """The layer-families grid: one (family, scenario) cell per point.
 
-    With ``store`` the (family, scenario) cells are incremental across runs;
-    with ``shard`` only the owned cells are computed and a :class:`ShardStats`
-    summary is returned.  ``backend`` scopes the execution backend of the
-    Monte-Carlo kernels (and the store fingerprint salt); ``workers > 1``
-    computes the cells in worker processes with store-shard work stealing,
-    ``lease_ttl`` overriding the shard-lease TTL of such a run.
+    ``scenarios`` defaults to every registered scenario; an unknown family or
+    scenario name or a non-positive ``trials`` raises before any cell runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -276,60 +257,40 @@ def run_layer_families(
     )
     for name in scenario_seq:
         get_scenario(name)  # fail fast on unknown scenario names
-    from ..parallel import resolve_workers
-
-    if shard is None and resolve_workers(workers) > 1:
-        from ..parallel import run_experiment_parallel
-
-        return run_experiment_parallel(
-            "layer_families",
-            {
-                "families": tuple(families),
-                "scenarios": scenario_seq,
-                "trials": trials,
-                "array_size": array_size,
-                "batch": batch,
-                "seed": seed,
-            },
-            store=store,
-            workers=resolve_workers(workers),
-            backend=backend,
-            lease_ttl=lease_ttl,
-        )
     points = [
         (family, scenario, array_size, trials, batch, seed)
         for family in families
         for scenario in scenario_seq
     ]
-    cache = (
-        SweepCache(store, "layer_families/cell", _layer_families_cell_config, LayerFamilyPoint)
-        if store is not None
-        else None
-    )
-    with using_backend(backend):
-        cells = map_sweep(
-            _family_point,
-            points,
-            parallel=parallel,
-            max_workers=max_workers,
-            cache=cache,
-            shard=shard,
+
+    def assemble(cells: List[LayerFamilyPoint]) -> LayerFamiliesResult:
+        return LayerFamiliesResult(
+            points=list(cells),
+            families=tuple(families),
+            scenarios=scenario_seq,
+            networks={family: FAMILY_NETWORKS[family] for family in families},
+            layers={
+                family: representative_family_layer(family).name for family in families
+            },
+            array_size=array_size,
+            trials=trials,
+            batch=batch,
+            seed=seed,
         )
-    if shard is not None:
-        return cells
-    return LayerFamiliesResult(
-        points=list(cells),
-        families=tuple(families),
-        scenarios=scenario_seq,
-        networks={family: FAMILY_NETWORKS[family] for family in families},
-        layers={
-            family: representative_family_layer(family).name for family in families
-        },
-        array_size=array_size,
-        trials=trials,
-        batch=batch,
-        seed=seed,
-    )
+
+    return points, assemble
+
+
+def run_layer_families(**params: Any) -> Union[LayerFamiliesResult, ShardStats]:
+    """Sweep layer family × hardware scenario with batched Monte-Carlo trials.
+
+    Domain keywords: ``families``, ``scenarios`` (default: every registered
+    scenario), ``trials``, ``array_size``, ``batch``, ``seed``.  The
+    execution keywords ``store``/``shard``/``backend``/``workers``/
+    ``lease_ttl`` are those of :meth:`~repro.engine.sweep.ExperimentSpec.run`;
+    with a store the (family, scenario) cells are incremental across runs.
+    """
+    return LAYER_FAMILIES.run(**params)
 
 
 def format_layer_families(
@@ -375,11 +336,15 @@ def format_layer_families(
     return format_table(headers, rows, title=title)
 
 
-register_experiment(
+LAYER_FAMILIES = register_experiment(
     ExperimentSpec(
         name="layer_families",
         title="Layer families — mapping efficiency of modern layers",
-        runner=run_layer_families,
+        kind="layer_families/cell",
+        cell=_family_point,
+        cell_config=_layer_families_cell_config,
+        result_type=LayerFamilyPoint,
+        plan=_layer_families_plan,
         formatter=format_layer_families,
     )
 )

@@ -1,29 +1,22 @@
 """Run every registered experiment and emit a combined report.
 
-``python -m repro.experiments.runner`` reproduces all of Table I and
-Figs. 6–9 in one pass through the engine's sweep registry
-(:mod:`repro.engine.sweep`) and prints the formatted tables.  Alongside the
-plain-text report it can emit a machine-readable JSON document
-(``--json FILE``) with every reproduced number, restrict the Fig. 6 array
-sweep (``--arrays 64 128``) and run the harnesses concurrently
-(``--jobs N``); the shared workload and decomposition caches keep the
-concurrent sweeps deduplicated.  ``--workers N`` (or ``$REPRO_WORKERS``)
-scales the sweep across worker *processes* with store-shard work stealing
-(:mod:`repro.parallel`); the report is byte-identical to a serial run.
+:func:`run_all` reproduces all of Table I, Figs. 6–9 and the robustness and
+layer-families sweeps in one pass through the engine's sweep registry
+(:mod:`repro.engine.sweep`); :func:`format_report` renders the plain-text
+report and :func:`suite_to_json` the machine-readable document with every
+reproduced number.  ``python -m repro report`` is the command-line front end
+(``--arrays``, ``--trials``, ``--json``, ``--shard``, and the global
+``--store``/``--backend``/``--workers``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..backend import using_backend
 from ..engine.cache import default_decomposition_cache
-from ..engine.sweep import ShardStats, experiment_registry, parse_shard, run_experiments
-from ..store import ExperimentStore, open_store
-from .common import get_workload
+from ..engine.sweep import ShardStats, experiment_registry, run_experiments
+from ..store import ExperimentStore
 from .fig6 import Fig6Result, format_fig6, headline_metrics
 from .fig7 import Fig7Result, format_fig7
 from .fig8 import Fig8Result, format_fig8, quantization_speedup
@@ -38,8 +31,8 @@ __all__ = [
     "run_shard",
     "format_shard_summary",
     "format_report",
+    "suite_overrides",
     "suite_to_json",
-    "main",
 ]
 
 #: Report order of the combined suite (also the sharded execution order).
@@ -80,21 +73,29 @@ class ExperimentSuite:
             f"iso-accuracy speedup over traditional low-rank: {', '.join(fig9_lines)}"
         )
 
-def _suite_overrides(
+def suite_overrides(
+    names: Sequence[str],
     include_fig6_arrays: Optional[Sequence[int]],
     robustness_trials: int,
-    store: Optional[ExperimentStore],
-    shard: Optional[Tuple[int, int]],
+    store: Optional[ExperimentStore] = None,
+    shard: Optional[Tuple[int, int]] = None,
 ) -> Dict[str, Dict[str, Any]]:
-    overrides: Dict[str, Dict[str, Any]] = {
-        "robustness": {"trials": robustness_trials},
-        "layer_families": {"trials": robustness_trials},
-    }
-    if include_fig6_arrays is not None:
-        overrides["fig6"] = {"array_sizes": tuple(include_fig6_arrays)}
+    """The per-experiment :func:`run_experiments` overrides of a suite run.
+
+    The one place the report's options (``--arrays``, ``--trials``, the
+    store and a shard) become experiment keywords — :func:`run_all`,
+    :func:`run_shard` and the experiment service all build their runs here,
+    so a service job's lease namespace is the one its run really uses.
+    """
+    overrides: Dict[str, Dict[str, Any]] = {name: {} for name in names}
+    for name in ("robustness", "layer_families"):
+        if name in overrides:
+            overrides[name]["trials"] = robustness_trials
+    if "fig6" in overrides and include_fig6_arrays is not None:
+        overrides["fig6"]["array_sizes"] = tuple(include_fig6_arrays)
     if store is not None:
-        for name in SUITE_EXPERIMENTS:
-            overrides.setdefault(name, {})["store"] = store
+        for name in names:
+            overrides[name]["store"] = store
             if shard is not None:
                 overrides[name]["shard"] = shard
     return overrides
@@ -102,8 +103,6 @@ def _suite_overrides(
 
 def run_all(
     include_fig6_arrays: Optional[Sequence[int]] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     robustness_trials: int = 8,
     store: Optional[ExperimentStore] = None,
     backend: Optional[str] = None,
@@ -112,14 +111,13 @@ def run_all(
     """Execute every registered harness with the paper's default sweeps.
 
     ``include_fig6_arrays`` restricts the Fig. 6 array-size sweep (the CLI's
-    ``--arrays``); ``parallel`` runs the harnesses concurrently through the
-    registry runner; ``robustness_trials`` sets the Monte-Carlo trial count of
-    the scenario robustness and layer-families sweeps.  With ``store`` the run is incremental:
-    grid cells already materialized in the store are decoded instead of
-    recomputed (a fully warm store makes this a pure assembly pass), and every
-    fresh cell is persisted as it completes, so interrupted runs resume.
-    ``backend`` scopes the execution backend of the whole suite (``None``
-    keeps the active default).
+    ``--arrays``); ``robustness_trials`` sets the Monte-Carlo trial count of
+    the scenario robustness and layer-families sweeps.  With ``store`` the
+    run is incremental: grid cells already materialized in the store are
+    decoded instead of recomputed (a fully warm store makes this a pure
+    assembly pass), and every fresh cell is persisted as it completes, so
+    interrupted runs resume.  ``backend`` scopes the execution backend of the
+    whole suite (``None`` keeps the active default).
 
     ``workers`` (the CLI's global ``--workers``, default ``$REPRO_WORKERS``,
     else 1) runs the suite's grid cells in worker *processes* with
@@ -127,32 +125,16 @@ def run_all(
     byte-identical to a serial run.  Without a ``store`` the workers share an
     ephemeral one for the duration of the run.
     """
-    from ..parallel import resolve_workers
-
-    process_parallel = resolve_workers(workers) > 1
-    overrides = _suite_overrides(include_fig6_arrays, robustness_trials, store, None)
-    # Attach (or drop) the store's second-level SVD cache before any SVD runs,
-    # so the warm-up below spills/refills through it too — and a storeless
-    # call never leaks a previously attached store.
+    overrides = suite_overrides(SUITE_EXPERIMENTS, include_fig6_arrays, robustness_trials, store)
+    # Attach (or drop) the store's second-level SVD cache before any SVD runs
+    # — and a storeless call never leaks a previously attached store.
     if store is not None:
         default_decomposition_cache.attach_store(store)
     else:
         default_decomposition_cache.detach_store()
-    with using_backend(backend):
-        # Warm the shared workload cache (and its proxy calibration SVDs)
-        # serially so concurrent harnesses read the caches instead of racing
-        # to fill them.  Process workers warm their own copies (the first
-        # spills the SVDs through the shared store; siblings refill).
-        if parallel and not process_parallel:
-            for network in ("resnet20", "wrn16_4"):
-                get_workload(network).proxy._calibration_curve()
-        results = run_experiments(
-            names=SUITE_EXPERIMENTS,
-            overrides=overrides,
-            parallel=parallel,
-            max_workers=max_workers,
-            workers=workers,
-        )
+    results = run_experiments(
+        names=SUITE_EXPERIMENTS, overrides=overrides, backend=backend, workers=workers
+    )
     return ExperimentSuite(**results)
 
 
@@ -160,8 +142,6 @@ def run_shard(
     shard: Tuple[int, int],
     store: ExperimentStore,
     include_fig6_arrays: Optional[Sequence[int]] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     robustness_trials: int = 8,
     backend: Optional[str] = None,
 ) -> Dict[str, ShardStats]:
@@ -174,19 +154,11 @@ def run_shard(
     afterwards (or ``repro report --store``) to assemble the full suite from
     the materialized cells.
     """
-    overrides = _suite_overrides(include_fig6_arrays, robustness_trials, store, shard)
+    overrides = suite_overrides(
+        SUITE_EXPERIMENTS, include_fig6_arrays, robustness_trials, store, shard
+    )
     default_decomposition_cache.attach_store(store)
-    with using_backend(backend):
-        if parallel:
-            for network in ("resnet20", "wrn16_4"):
-                get_workload(network).proxy._calibration_curve()
-        results = run_experiments(
-            names=SUITE_EXPERIMENTS,
-            overrides=overrides,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-    return results
+    return run_experiments(names=SUITE_EXPERIMENTS, overrides=overrides, backend=backend)
 
 
 def format_shard_summary(stats: Mapping[str, ShardStats]) -> str:
@@ -253,98 +225,3 @@ def suite_to_json(suite: ExperimentSuite) -> Dict[str, Any]:
             "result": spec.serialize(result),
         }
     return document
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI shim
-    parser = argparse.ArgumentParser(description="Reproduce every table/figure of the paper")
-    parser.add_argument("--plots", action="store_true", help="include ASCII scatter/bar plots")
-    parser.add_argument("--output", type=str, default="", help="write the report to a file")
-    parser.add_argument(
-        "--json", type=str, default="", help="also write a machine-readable JSON report"
-    )
-    parser.add_argument(
-        "--arrays",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="SIZE",
-        help="restrict the Fig. 6 array-size sweep (e.g. --arrays 64 128)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="run the experiment harnesses concurrently with this many workers",
-    )
-    parser.add_argument(
-        "--trials",
-        type=int,
-        default=8,
-        help="Monte-Carlo trial count of the robustness and layer-families sweeps",
-    )
-    parser.add_argument(
-        "--store", type=str, default="",
-        help="persistent experiment store directory (default: $REPRO_STORE)",
-    )
-    parser.add_argument(
-        "--shard", type=str, default="", metavar="K/N",
-        help="compute only shard K of N grid cells into the store, then exit",
-    )
-    parser.add_argument(
-        "--backend", type=str, default=None,
-        help="execution backend (default: $REPRO_BACKEND, else numpy64)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the sweep grid cells in N worker processes with store-shard "
-             "work stealing (default: $REPRO_WORKERS, else 1)",
-    )
-    args = parser.parse_args(argv)
-    store = open_store(args.store or None)
-    if args.shard:
-        if store is None:
-            parser.error("--shard requires --store (or $REPRO_STORE)")
-        if args.json or args.output or args.plots:
-            parser.error(
-                "--shard computes grid cells without assembling a report; "
-                "run the final un-sharded invocation to emit --json/--output"
-            )
-        if args.workers is not None and args.workers > 1:
-            parser.error(
-                "--shard is one slice of an externally-partitioned run; "
-                "use --workers without --shard for in-process partitioning"
-            )
-        stats = run_shard(
-            parse_shard(args.shard),
-            store,
-            include_fig6_arrays=args.arrays,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
-            robustness_trials=args.trials,
-            backend=args.backend,
-        )
-        print(format_shard_summary(stats))
-        return 0
-    suite = run_all(
-        include_fig6_arrays=args.arrays,
-        parallel=args.jobs > 1,
-        max_workers=args.jobs if args.jobs > 1 else None,
-        robustness_trials=args.trials,
-        store=store,
-        backend=args.backend,
-        workers=args.workers,
-    )
-    report = format_report(suite, include_plots=args.plots)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(suite_to_json(suite), handle, indent=2)
-            handle.write("\n")
-    print(report)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -8,19 +8,11 @@ m/16) for ResNet-20 and WRN16-4, reporting accuracy and computing cycles on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..analysis.tables import format_cycles, format_table
-from ..backend import using_backend
-from ..engine.sweep import (
-    ExperimentSpec,
-    ShardStats,
-    SweepCache,
-    map_sweep,
-    register_experiment,
-)
+from ..engine.sweep import ExperimentSpec, ShardStats, register_experiment
 from ..mapping.geometry import ArrayDims
-from ..store import ExperimentStore
 from .common import GROUP_COUNTS, RANK_DIVISORS, get_workload, lowrank_network_cycles
 
 __all__ = ["Table1Row", "Table1Result", "run_table1", "format_table1"]
@@ -100,62 +92,31 @@ def _table1_cell_config(
     }
 
 
-def run_table1(
+def _table1_plan(
     networks: Sequence[str] = ("resnet20", "wrn16_4"),
     array_sizes: Sequence[int] = TABLE1_ARRAY_SIZES,
     group_counts: Sequence[int] = GROUP_COUNTS,
     rank_divisors: Sequence[int] = RANK_DIVISORS,
-    parallel: bool = False,
-    store: Optional[ExperimentStore] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    lease_ttl: Optional[float] = None,
-) -> Union[Table1Result, ShardStats]:
-    """Reproduce Table I: sweep groups × rank divisors for both networks.
-
-    With ``store`` the sweep is incremental (cells already materialized are
-    decoded, fresh rows persisted); with ``shard`` only the owned cells are
-    computed and a :class:`ShardStats` summary is returned.  ``backend``
-    scopes the execution backend of the sweep (proxy SVDs and store
-    fingerprint salting included); ``None`` keeps the active default.
-    ``workers > 1`` (default ``$REPRO_WORKERS``) computes the grid in worker
-    processes with store-shard work stealing (:mod:`repro.parallel`).  ``lease_ttl`` overrides the shard-lease TTL of such a parallel run (an explicit value beats ``$REPRO_LEASE_TTL``).
-    """
-    from ..parallel import resolve_workers
-
-    if shard is None and resolve_workers(workers) > 1:
-        from ..parallel import run_experiment_parallel
-
-        return run_experiment_parallel(
-            "table1",
-            {
-                "networks": tuple(networks),
-                "array_sizes": tuple(array_sizes),
-                "group_counts": tuple(group_counts),
-                "rank_divisors": tuple(rank_divisors),
-            },
-            store=store,
-            workers=resolve_workers(workers),
-            backend=backend,
-            lease_ttl=lease_ttl,
-        )
+) -> Tuple[List[Tuple[Any, ...]], Callable[[List[Table1Row]], Table1Result]]:
+    """Table I's grid: one (network, groups, rank divisor) row per point."""
     points = [
         (network, groups, divisor, tuple(array_sizes))
         for network in networks
         for groups in group_counts
         for divisor in rank_divisors
     ]
-    cache = (
-        SweepCache(store, "table1/row", _table1_cell_config, Table1Row)
-        if store is not None
-        else None
-    )
-    with using_backend(backend):
-        rows = map_sweep(_table1_row, points, parallel=parallel, cache=cache, shard=shard)
-    if shard is not None:
-        return rows
-    return Table1Result(rows=rows)
+    return points, lambda rows: Table1Result(rows=rows)
+
+
+def run_table1(**params: Any) -> Union[Table1Result, ShardStats]:
+    """Reproduce Table I: sweep groups × rank divisors for both networks.
+
+    Domain keywords (defaults as in the paper): ``networks``,
+    ``array_sizes``, ``group_counts``, ``rank_divisors``.  The execution
+    keywords ``store``/``shard``/``backend``/``workers``/``lease_ttl`` are
+    those of :meth:`~repro.engine.sweep.ExperimentSpec.run`.
+    """
+    return TABLE1.run(**params)
 
 
 def format_table1(result: Table1Result, array_sizes: Optional[Sequence[int]] = None) -> str:
@@ -183,11 +144,15 @@ def format_table1(result: Table1Result, array_sizes: Optional[Sequence[int]] = N
     return "\n\n".join(blocks)
 
 
-register_experiment(
+TABLE1 = register_experiment(
     ExperimentSpec(
         name="table1",
         title="Table I — accuracy and computing cycles of the proposed compression",
-        runner=run_table1,
+        kind="table1/row",
+        cell=_table1_row,
+        cell_config=_table1_cell_config,
+        result_type=Table1Row,
+        plan=_table1_plan,
         formatter=lambda result, include_plots=False: format_table1(result),
     )
 )

@@ -67,7 +67,6 @@ __all__ = [
     "plan_namespace",
     "run_cells_parallel",
     "run_experiments_parallel",
-    "run_experiment_parallel",
     "format_worker_summary",
     "collect_workers_status",
     "format_workers_status",
@@ -539,32 +538,6 @@ def run_experiments_parallel(
             default_decomposition_cache.detach_store()
         if ephemeral_root is not None:
             shutil.rmtree(ephemeral_root, ignore_errors=True)
-
-
-def run_experiment_parallel(
-    name: str,
-    overrides: Optional[Mapping[str, Any]] = None,
-    store: Optional[ExperimentStore] = None,
-    workers: Optional[int] = None,
-    nshards: Optional[int] = None,
-    backend: Union[str, Backend, None] = None,
-    lease_ttl: Optional[float] = None,
-) -> Any:
-    """One registered experiment, computed by worker processes and assembled.
-
-    The single-harness entry the six ``run_*`` functions delegate to when
-    called with ``workers > 1``.
-    """
-    results = run_experiments_parallel(
-        [name],
-        {name: dict(overrides or {})},
-        store=store,
-        workers=workers,
-        nshards=nshards,
-        backend=backend,
-        lease_ttl=lease_ttl,
-    )
-    return results[name]
 
 
 def format_worker_summary(stats: Sequence[WorkerStats]) -> str:

@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..engine.sweep import experiment_registry, run_experiments
-from ..experiments.runner import run_all, suite_to_json
+from ..experiments.runner import run_all, suite_overrides, suite_to_json
 from ..parallel import default_shard_count, plan_namespace, resolve_workers
 from ..store import ExperimentStore, LeaseBoard
 from .config import ServerConfig
@@ -70,30 +70,22 @@ class Job:
     launches: int = 0
 
 
-def _sweep_overrides(spec: SweepSpec) -> Dict[str, Dict[str, Any]]:
-    """The per-experiment overrides a spec's sweep runs with (store excluded).
-
-    Mirrors :func:`repro.experiments.runner._suite_overrides` minus the store
-    key — exactly what reaches the workers after
-    :func:`~repro.parallel.run_experiments_parallel` strips the embedded
-    store, which is what makes :func:`job_namespace` land on the same lease
-    namespace as the run itself.
-    """
-    overrides: Dict[str, Dict[str, Any]] = {name: {} for name in spec.experiments}
-    if "robustness" in overrides:
-        overrides["robustness"]["trials"] = spec.trials
-    if "layer_families" in overrides:
-        overrides["layer_families"]["trials"] = spec.trials
-    if "fig6" in overrides and spec.arrays is not None:
-        overrides["fig6"]["array_sizes"] = tuple(spec.arrays)
-    return overrides
-
-
 def job_namespace(spec: SweepSpec) -> Tuple[str, int]:
-    """The lease namespace and shard count the spec's parallel run will use."""
+    """The lease namespace and shard count the spec's parallel run will use.
+
+    The overrides come from the function the run itself uses,
+    :func:`~repro.experiments.runner.suite_overrides`, minus the store —
+    exactly what :func:`~repro.parallel.run_experiments_parallel` fingerprints
+    after stripping the embedded store.
+    """
     nshards = default_shard_count(resolve_workers(spec.workers))
     return (
-        plan_namespace(spec.experiments, _sweep_overrides(spec), nshards, spec.backend),
+        plan_namespace(
+            spec.experiments,
+            suite_overrides(spec.experiments, spec.arrays, spec.trials),
+            nshards,
+            spec.backend,
+        ),
         nshards,
     )
 
@@ -118,12 +110,9 @@ def execute_sweep(spec: SweepSpec, store: ExperimentStore) -> str:
         )
         document: Dict[str, Any] = suite_to_json(suite)
     else:
-        overrides: Dict[str, Dict[str, Any]] = {}
-        for name, cleaned in _sweep_overrides(spec).items():
-            overrides[name] = {**cleaned, "store": store}
         results = run_experiments(
             names=list(spec.experiments),
-            overrides=overrides,
+            overrides=suite_overrides(spec.experiments, spec.arrays, spec.trials, store),
             backend=spec.backend,
             workers=spec.workers,
         )

@@ -22,7 +22,7 @@ How the proxy works
 
 The anchor tables below record the paper-reported values next to every
 reproduced one; the proxy preserves orderings and approximate gaps, not exact
-numbers.  ``python -m repro.experiments.runner --json report.json`` emits the
+numbers.  ``python -m repro report --json report.json`` emits the
 reproduced values machine-readably for side-by-side comparison.
 """
 

@@ -11,6 +11,10 @@ from repro.engine.sweep import experiment_registry, to_jsonable
 from repro.experiments.layer_families import (
     FAMILIES,
     FAMILY_NETWORKS,
+    LayerFamilyPoint,
+    _family_point,
+    _layer_families_cell_config,
+    _layer_families_plan,
     format_layer_families,
     representative_family_layer,
     run_layer_families,
@@ -111,12 +115,12 @@ class TestRunLayerFamilies:
         )
 
     def test_parallel_matches_serial(self, small_result):
+        """Two worker processes assemble the same points as the serial run."""
         parallel = run_layer_families(
             scenarios=("ideal", "typical_rram"),
             trials=3,
             batch=8,
-            parallel=True,
-            max_workers=2,
+            workers=2,
         )
         assert parallel.points == small_result.points
 
@@ -145,7 +149,12 @@ class TestFormattingAndRegistration:
     def test_registered_experiment(self):
         registry = experiment_registry()
         assert "layer_families" in registry
-        assert registry["layer_families"].runner is run_layer_families
+        spec = registry["layer_families"]
+        assert spec.kind == "layer_families/cell"
+        assert spec.cell is _family_point
+        assert spec.cell_config is _layer_families_cell_config
+        assert spec.result_type is LayerFamilyPoint
+        assert spec.plan is _layer_families_plan
 
     def test_in_full_suite(self):
         from repro.experiments.runner import SUITE_EXPERIMENTS

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from typing import List
 
 import pytest
 
@@ -10,6 +11,10 @@ import repro.experiments  # noqa: F401 — populates the experiment registry
 from repro.engine.sweep import experiment_registry, to_jsonable
 from repro.experiments.robustness import (
     MAPPINGS,
+    RobustnessPoint,
+    _robustness_cell_config,
+    _robustness_plan,
+    _scenario_points,
     format_robustness,
     representative_layer,
     run_robustness,
@@ -78,13 +83,13 @@ class TestRunRobustness:
         assert geometry.name
 
     def test_parallel_matches_serial(self, small_result):
+        """Two worker processes assemble the same points as the serial run."""
         parallel = run_robustness(
             networks=("resnet20",),
             scenarios=("ideal", "typical_rram", "faulty"),
             trials=3,
             batch=8,
-            parallel=True,
-            max_workers=2,
+            workers=2,
         )
         for serial_point, parallel_point in zip(small_result.points, parallel.points):
             assert serial_point == parallel_point
@@ -105,7 +110,12 @@ class TestFormattingAndRegistration:
     def test_registered_experiment(self):
         registry = experiment_registry()
         assert "robustness" in registry
-        assert registry["robustness"].runner is run_robustness
+        spec = registry["robustness"]
+        assert spec.kind == "robustness/cell"
+        assert spec.cell is _scenario_points
+        assert spec.cell_config is _robustness_cell_config
+        assert spec.result_type == List[RobustnessPoint]
+        assert spec.plan is _robustness_plan
 
     def test_serializes_to_json(self, small_result):
         document = to_jsonable(small_result)

@@ -245,3 +245,37 @@ class TestWorkersEndpoint:
         assert [lease["shard"] for lease in namespace["leases"]] == [3]
         assert namespace["heartbeats"][0]["owner"] == "worker-a"
         assert namespace["heartbeats"][0]["stale"] is False
+
+
+class TestJobNamespace:
+    """`job_namespace` must name the lease namespace the job's run really uses."""
+
+    class _Stop(Exception):
+        pass
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiments": ["fig6", "robustness"], "arrays": [32], "trials": 2, "workers": 2},
+            {"arrays": [64], "trials": 3, "workers": 3},
+            {"experiments": ["table1", "fig7"], "workers": 2},
+        ],
+    )
+    def test_matches_the_namespace_of_the_parallel_run(self, payload, store, monkeypatch):
+        import repro.parallel as parallel_module
+        from repro.server.schemas import parse_sweep_spec
+
+        spec = parse_sweep_spec(payload, ServerConfig(max_job_workers=4))
+        expected, nshards = queue_module.job_namespace(spec)
+        created = []
+        real_plan_namespace = parallel_module.plan_namespace
+
+        def recording_plan_namespace(*args, **kwargs):
+            created.append(real_plan_namespace(*args, **kwargs))
+            raise self._Stop  # stop before any worker process spawns
+
+        monkeypatch.setattr(parallel_module, "plan_namespace", recording_plan_namespace)
+        with pytest.raises(self._Stop):
+            queue_module.execute_sweep(spec, store)
+        assert created == [expected]
+        assert nshards == parallel_module.default_shard_count(spec.workers)

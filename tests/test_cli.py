@@ -2,7 +2,7 @@
 
 The fast subcommands are exercised directly; the heavyweight ``report``
 command is run end to end through ``main()`` with a restricted Fig. 6 sweep
-and a small robustness trial count so its ``--arrays``/``--jobs``/``--json``
+and a small robustness trial count so its ``--arrays``/``--trials``/``--json``
 plumbing stays covered without dominating the suite's runtime.
 """
 
@@ -31,7 +31,7 @@ class TestParser:
     def test_robustness_defaults(self):
         args = build_parser().parse_args(["robustness"])
         assert args.scenarios is None
-        assert args.trials == 8 and args.jobs == 1 and args.array == 64
+        assert args.trials == 8 and args.array == 64
 
     def test_robustness_invalid_scenario_rejected(self):
         with pytest.raises(SystemExit):
@@ -44,6 +44,31 @@ class TestParser:
     def test_invalid_choice_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--network", "vgg"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--trials", "0"],
+            ["report", "--trials", "-3"],
+            ["report", "--arrays", "0"],
+            ["report", "--arrays", "64", "-64"],
+            ["robustness", "--trials", "0"],
+            ["layer_families", "--trials", "0"],
+        ],
+    )
+    def test_non_positive_counts_exit_2_before_any_run(self, argv, capsys, monkeypatch):
+        """A non-positive count is a parser error (exit 2), not a late traceback."""
+        import repro.cli as cli_module
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("an experiment ran before the argument was rejected")
+
+        for name in ("run_all", "run_robustness", "run_layer_families"):
+            monkeypatch.setattr(cli_module, name, no_run)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
 
 
 class TestExecution:
@@ -82,7 +107,7 @@ class TestExecution:
         assert "typical_rram" in captured
         assert "group_lowrank" in captured
 
-    def test_robustness_jobs_and_json(self, tmp_path, capsys):
+    def test_robustness_scenarios_and_json(self, tmp_path, capsys):
         target = tmp_path / "robustness.json"
         exit_code = main(
             [
@@ -90,7 +115,6 @@ class TestExecution:
                 "--trials", "2",
                 "--networks", "resnet20",
                 "--scenarios", "ideal", "faulty",
-                "--jobs", "2",
                 "--json", str(target),
             ]
         )
@@ -132,14 +156,13 @@ class TestExecution:
         assert document["families"] == ["conv", "depthwise"]
         assert len(document["points"]) == 2 * 2  # families × scenarios
 
-    def test_report_end_to_end_with_arrays_jobs_json(self, tmp_path, capsys):
-        """`report --arrays/--jobs/--json` through main(), restricted to stay fast."""
+    def test_report_end_to_end_with_arrays_json(self, tmp_path, capsys):
+        """`report --arrays/--trials/--json` through main(), restricted to stay fast."""
         target = tmp_path / "report.json"
         exit_code = main(
             [
                 "report",
                 "--arrays", "32",
-                "--jobs", "2",
                 "--trials", "2",
                 "--json", str(target),
             ]

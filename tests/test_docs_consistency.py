@@ -59,3 +59,18 @@ class TestCheckDocs:
         (tmp_path / "docs").mkdir()
         monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
         assert module.main() == 1
+
+    def test_unknown_flags_detects_a_flag_the_cli_lacks(self, tmp_path):
+        """Only flags on repro command lines are checked, against every parser."""
+        document = tmp_path / "doc.md"
+        document.write_text(
+            "python -m repro robustness --scenarios faulty --jobs 2\n"
+            "run `repro --store S report --shard 1/4` then `repro report --json x`\n"
+            "REPRO_BACKEND=numpy32 python -m repro report --trials 8  # --not-checked\n"
+            "pip install --upgrade repro\n"
+            "| `python -m repro layer_families --familes conv` | typo |\n"
+        )
+        module = _load_module()
+        options = module.cli_options(module.build_parser())
+        assert {"--store", "--shard", "--scenarios", "--families"} <= options
+        assert module.unknown_flags(document, options) == ["1: --jobs", "5: --familes"]

@@ -10,7 +10,11 @@ the documents that promise to list it:
 
 * every ``experiment_registry()`` name must appear in README.md and ENGINE.md;
 * every ``backend_names()`` name must appear in README.md and ENGINE.md;
-* every ``registered_networks()`` name must appear in docs/workloads.md.
+* every ``registered_networks()`` name must appear in docs/workloads.md;
+* every ``--flag`` on a ``repro`` command line in README.md, ENGINE.md and
+  ``docs/*.md`` must be an option that ``repro.cli.build_parser()`` or one of
+  its subcommand parsers defines (a documented flag that no longer exists
+  ships a broken example).
 
 Run from the repository root (CI does, via the docs-consistency job)::
 
@@ -19,15 +23,17 @@ Run from the repository root (CI does, via the docs-consistency job)::
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.backend import backend_names  # noqa: E402
+from repro.cli import build_parser  # noqa: E402
 from repro.engine.sweep import experiment_registry  # noqa: E402
 from repro.workloads import registered_networks  # noqa: E402
 import repro.experiments  # noqa: E402,F401  (populates the experiment registry)
@@ -40,6 +46,37 @@ def missing_names(document: Path, names: Sequence[str]) -> List[str]:
         name for name in names
         if not re.search(rf"\b{re.escape(name)}\b", text)
     ]
+
+
+#: A ``repro`` invocation (``python -m repro ...`` or bare ``repro ...``) up
+#: to the end of its code span, table cell, shell comment or line.
+_REPRO_COMMAND = re.compile(
+    r"(?:python -m repro|(?<![\w./-])repro)(?=[ \t])(?P<args>[^`|#\n]*)"
+)
+_FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+
+
+def cli_options(parser: argparse.ArgumentParser) -> Set[str]:
+    """Every option string ``parser`` and its subcommand parsers define."""
+    options: Set[str] = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= cli_options(subparser)
+    return options
+
+
+def unknown_flags(document: Path, options: Set[str]) -> List[str]:
+    """``"<line>: <flag>"`` for each repro-command flag ``options`` lacks."""
+    unknown = []
+    lines = document.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        for command in _REPRO_COMMAND.finditer(line):
+            for flag in _FLAG.findall(command.group("args")):
+                if flag not in options:
+                    unknown.append(f"{number}: {flag}")
+    return unknown
 
 
 def main() -> int:
@@ -65,13 +102,22 @@ def main() -> int:
         if absent:
             failures.append(f"{relative}: {label} not mentioned: {', '.join(absent)}")
 
+    options = cli_options(build_parser())
+    flag_documents = [REPO_ROOT / "README.md", REPO_ROOT / "ENGINE.md"]
+    flag_documents += sorted((REPO_ROOT / "docs").glob("*.md"))
+    for document in flag_documents:
+        if document.exists():
+            relative = document.relative_to(REPO_ROOT)
+            for where in unknown_flags(document, options):
+                failures.append(f"{relative}:{where} is not a repro CLI option")
+
     if failures:
         print("docs-consistency check FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         print(
-            "Document every registered name (or unregister it); "
-            "see docs/workloads.md and ENGINE.md.",
+            "Document every registered name (or unregister it) and only "
+            "documented CLI options; see docs/workloads.md and ENGINE.md.",
             file=sys.stderr,
         )
         return 1
@@ -79,7 +125,8 @@ def main() -> int:
     print(
         "docs-consistency OK: "
         f"{len(experiments)} experiments, {len(backends)} backends, "
-        f"{len(networks)} networks all documented"
+        f"{len(networks)} networks all documented; "
+        f"every documented repro flag exists"
     )
     return 0
 
