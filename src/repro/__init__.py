@@ -23,17 +23,17 @@ Quick start::
     from repro import nn, lowrank, mapping
     model = nn.models.resnet20()
     report = lowrank.compress_model(model, lowrank.CompressionSpec(rank_divisor=8, groups=4))
+
+Importing the package loads none of its subsystems: each submodule and each
+re-exported name below is imported on first use (PEP 562), so a command that
+never trains a model never pays for :mod:`repro.nn` or :mod:`repro.data`.
 """
 
-from . import analysis, data, imc, lowrank, mapping, nn, pruning, quantization, training, workloads
-from .lowrank import CompressionSpec, GroupLowRankConv2d, compress_model, group_decompose
-from .mapping import ArrayDims, ConvGeometry, ParallelWindow, SDKMapping
-from .training import AccuracyProxy
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+_SUBMODULES = (
     "nn",
     "mapping",
     "lowrank",
@@ -44,13 +44,14 @@ __all__ = [
     "training",
     "analysis",
     "workloads",
-    "CompressionSpec",
-    "GroupLowRankConv2d",
-    "compress_model",
-    "group_decompose",
-    "ArrayDims",
-    "ConvGeometry",
-    "ParallelWindow",
-    "SDKMapping",
-    "AccuracyProxy",
-]
+)
+
+_EXPORTS = {
+    "lowrank": ("CompressionSpec", "GroupLowRankConv2d", "compress_model", "group_decompose"),
+    "mapping": ("ArrayDims", "ConvGeometry", "ParallelWindow", "SDKMapping"),
+    "training": ("AccuracyProxy",),
+}
+
+__all__ = ["__version__", *_SUBMODULES, *(name for names in _EXPORTS.values() for name in names)]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -43,6 +43,7 @@ from ..lowrank.group import GroupLowRankFactors, split_columns
 __all__ = [
     "DEFAULT_SVD_CACHE_ENTRIES",
     "matrix_fingerprint",
+    "truncate_svd",
     "DecompositionCache",
     "default_decomposition_cache",
     "cached_decompose",
@@ -60,6 +61,15 @@ def matrix_fingerprint(matrix: np.ndarray) -> Tuple[Tuple[int, ...], str, str]:
     data = np.ascontiguousarray(matrix)
     digest = hashlib.blake2b(data.tobytes(), digest_size=16).hexdigest()
     return (tuple(data.shape), str(data.dtype), digest)
+
+
+def truncate_svd(
+    svd: Tuple[np.ndarray, np.ndarray, np.ndarray], rank: int
+) -> LowRankFactors:
+    """Rank-``rank`` factors ``(U_k·S_k, Vt_k)`` of a thin SVD (rank clamped to its size)."""
+    u, s, vt = svd
+    rank = min(rank, s.shape[0])
+    return LowRankFactors(left=u[:, :rank] * s[:rank], right=vt[:rank, :])
 
 
 def _store_token(key: Tuple[Tuple[int, ...], str, str]) -> str:
@@ -182,11 +192,7 @@ class DecompositionCache:
             raise ValueError(f"rank must be positive, got {rank}")
         if matrix.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
-        rank = min(rank, min(matrix.shape))
-        u, s, vt = self.svd(matrix, backend=backend)
-        left = u[:, :rank] * s[:rank]
-        right = vt[:rank, :]
-        return LowRankFactors(left=left, right=right)
+        return truncate_svd(self.svd(matrix, backend=backend), rank)
 
     def group_decompose(
         self,

@@ -34,7 +34,7 @@ from ..engine.context import MonteCarloResult
 from ..engine.sweep import ExperimentSpec, ShardStats, register_experiment
 from ..mapping.geometry import ArrayDims, ConvGeometry
 from ..scenarios import HardwareScenario, get_scenario, scenario_names
-from ..training.proxy import AccuracyProxy
+from ..workloads import effective_groups, reference_matrix
 from .common import get_workload
 
 __all__ = [
@@ -103,19 +103,6 @@ def representative_layer(network: str) -> ConvGeometry:
     return compressible[len(compressible) // 2]
 
 
-def _reference_weight(geometry: ConvGeometry, seed: int) -> np.ndarray:
-    """Deterministic Gaussian im2col weight matrix with the layer's shape.
-
-    Uses the same seeding scheme as the accuracy proxy's reference matrices
-    (:mod:`repro.training.proxy`), so the measured errors live on the scale
-    its error→accuracy calibration curve was anchored with.
-    """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(geometry.m, geometry.n))
-    )
-    return rng.normal(0.0, 1.0 / np.sqrt(geometry.n), size=(geometry.m, geometry.n))
-
-
 def _reference_inputs(geometry: ConvGeometry, batch: int, seed: int) -> np.ndarray:
     """Deterministic Gaussian input columns shared by every trial and scenario."""
     rng = np.random.default_rng(
@@ -163,12 +150,12 @@ def _ideal_error(
     precision's reference error to the other.
     """
     geometry = representative_layer(network)
-    weight = _reference_weight(geometry, seed)
+    weight = reference_matrix(seed, geometry.m, geometry.n)
     inputs = _reference_inputs(geometry, batch, seed)
     rank = max(1, geometry.m // rank_divisor)
-    effective_groups = AccuracyProxy._effective_groups(geometry, groups)
+    effective = effective_groups(geometry, groups)
     ctx = get_scenario("ideal").context(ArrayDims.square(array_size), seed=seed)
-    plan = _mapping_plan(ctx, weight, mapping, rank, effective_groups, trials=1)
+    plan = _mapping_plan(ctx, weight, mapping, rank, effective, trials=1)
     return plan.run(inputs).mean_relative_error
 
 
@@ -185,16 +172,16 @@ def _scenario_points(
     """All mapping points of one (network, scenario) sweep cell."""
     scenario: HardwareScenario = get_scenario(scenario_name)
     geometry = representative_layer(network)
-    weight = _reference_weight(geometry, seed)
+    weight = reference_matrix(seed, geometry.m, geometry.n)
     inputs = _reference_inputs(geometry, batch, seed)
     rank = max(1, geometry.m // rank_divisor)
-    effective_groups = AccuracyProxy._effective_groups(geometry, groups)
+    effective = effective_groups(geometry, groups)
     proxy = get_workload(network).proxy
     ctx = scenario.context(ArrayDims.square(array_size), seed=seed)
 
     results: Dict[str, MonteCarloResult] = {}
     for mapping in MAPPINGS:
-        plan = _mapping_plan(ctx, weight, mapping, rank, effective_groups, trials)
+        plan = _mapping_plan(ctx, weight, mapping, rank, effective, trials)
         results[mapping] = plan.run(inputs)
 
     dense_energy = results["im2col"].energy_pj / batch
@@ -213,7 +200,7 @@ def _scenario_points(
                 network=network,
                 scenario=scenario_name,
                 mapping=mapping,
-                detail=_mapping_detail(mapping, geometry, rank, effective_groups),
+                detail=_mapping_detail(mapping, geometry, rank, effective),
                 trials=trials,
                 mean_error=result.mean_relative_error,
                 std_error=result.std_relative_error,

@@ -29,6 +29,7 @@ import numpy as np
 from ..mapping.cycles import lowrank_cycles
 from ..mapping.geometry import ArrayDims, ConvGeometry
 from ..nn.modules import Conv2d, Module
+from ..workloads.reference import effective_groups, reference_matrix
 from .decompose import singular_value_energy
 from .group import split_columns
 
@@ -116,13 +117,6 @@ class RankAllocation:
         return total
 
 
-def _reference_matrix(geometry: ConvGeometry, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(geometry.m, geometry.n))
-    )
-    return rng.normal(0.0, 1.0 / np.sqrt(geometry.n), size=(geometry.m, geometry.n))
-
-
 def _grouped_error_curve(matrix: np.ndarray, groups: int, max_rank: int) -> np.ndarray:
     """Relative error of the grouped rank-k approximation for k = 1 … max_rank.
 
@@ -143,13 +137,6 @@ def _grouped_error_curve(matrix: np.ndarray, groups: int, max_rank: int) -> np.n
     return np.sqrt(squared_error)
 
 
-def _effective_groups(geometry: ConvGeometry, groups: int) -> int:
-    candidate = min(groups, geometry.in_channels)
-    while geometry.n % candidate != 0:
-        candidate -= 1
-    return max(1, candidate)
-
-
 def layer_sensitivity(
     geometry: ConvGeometry,
     groups: int = 1,
@@ -157,8 +144,8 @@ def layer_sensitivity(
     seed: int = 0,
 ) -> LayerSensitivity:
     """Rank → error curve for one layer (from its real weights when available)."""
-    effective = _effective_groups(geometry, groups)
-    matrix = weight_matrix if weight_matrix is not None else _reference_matrix(geometry, seed)
+    effective = effective_groups(geometry, groups)
+    matrix = weight_matrix if weight_matrix is not None else reference_matrix(seed, geometry.m, geometry.n)
     if matrix.shape != (geometry.m, geometry.n):
         raise ValueError(
             f"weight matrix shape {matrix.shape} does not match geometry ({geometry.m}, {geometry.n})"

@@ -16,8 +16,9 @@ the harnesses persist (finite floats survive a JSON round-trip exactly).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +56,13 @@ def _decode_key(key_type: Any, key: str) -> Any:
     return key
 
 
+@functools.lru_cache(maxsize=None)
+def _field_hints(tp: type) -> Tuple[Tuple[str, Any], ...]:
+    """``(field name, resolved annotation)`` pairs of a dataclass, resolved once per type."""
+    hints = typing.get_type_hints(tp)
+    return tuple((f.name, hints.get(f.name, Any)) for f in dataclasses.fields(tp))
+
+
 def decode(tp: Any, data: Any) -> Any:
     """Reconstruct a value of annotated type ``tp`` from its :func:`encode` form."""
     if tp is Any or tp is None or data is None and tp is type(None):
@@ -62,12 +70,7 @@ def decode(tp: Any, data: Any) -> Any:
     if dataclasses.is_dataclass(tp) and isinstance(tp, type):
         if not isinstance(data, Mapping):
             raise TypeError(f"expected a mapping for {tp.__name__}, got {type(data).__name__}")
-        hints = typing.get_type_hints(tp)
-        kwargs = {
-            f.name: decode(hints.get(f.name, Any), data[f.name])
-            for f in dataclasses.fields(tp)
-        }
-        return tp(**kwargs)
+        return tp(**{name: decode(hint, data[name]) for name, hint in _field_hints(tp)})
     origin = typing.get_origin(tp)
     if origin is not None:
         args = typing.get_args(tp)

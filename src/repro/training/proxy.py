@@ -34,10 +34,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..backend import active_precision
-from ..engine.cache import cached_group_decompose
-from ..lowrank.group import group_relative_error
-from ..mapping.geometry import ConvGeometry
-from ..workloads import compressible_geometries
+from ..engine.cache import default_decomposition_cache, truncate_svd
+from ..lowrank.group import GroupLowRankFactors, group_relative_error, split_columns
+from ..workloads import compressible_geometries, effective_groups, reference_matrix
 
 __all__ = ["AccuracyProxy", "BASELINE_ACCURACY", "TABLE1_ACCURACY", "PATTERN_ACCURACY", "QUANTIZATION_ACCURACY"]
 
@@ -86,21 +85,41 @@ QUANTIZATION_ACCURACY: Dict[str, Dict[int, float]] = {
 }
 
 
-def _reference_matrix(geometry: ConvGeometry, seed: int) -> np.ndarray:
-    """Deterministic Gaussian im2col weight matrix for one layer."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(geometry.m, geometry.n)))
-    scale = 1.0 / np.sqrt(geometry.n)
-    return rng.normal(0.0, scale, size=(geometry.m, geometry.n))
-
-
-#: Module-level caches shared by every proxy instance so repeated sweeps
-#: (benchmarks create many workload objects) do not redo the SVD work.  Keys
-#: carry the active execution precision (:func:`repro.backend.active_precision`)
-#: because the reconstruction errors flow through backend SVDs — a process
-#: that switches between numpy64 and numpy32 must never serve one precision's
-#: errors (or the calibration curve built from them) to the other.
-_ERROR_CACHE: Dict[Tuple[str, str, int, int, int], float] = {}
+#: Module-level memos shared by every proxy instance, keyed by the spec that
+#: generates the data rather than by its bytes: a reference matrix depends
+#: only on ``(seed, m, n)`` (:func:`repro.workloads.reference_matrix`), so
+#: layers of one shape share their block SVDs and per-rank errors, and no
+#: matrix is generated or hashed until an error is first needed.  Keys lead
+#: with the active execution precision (:func:`repro.backend.active_precision`)
+#: because the errors flow through backend SVDs — a process that switches
+#: between numpy64 and numpy32 must never serve one precision's errors (or
+#: the calibration curve built from them) to the other.
+_BLOCK_SVDS: Dict[Tuple[str, int, int, int, int], Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = {}
+_LAYER_ERRORS: Dict[Tuple[str, int, int, int, int, int], float] = {}
 _CALIBRATION_CACHE: Dict[Tuple[str, str, int], Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _block_svds(
+    precision: str, seed: int, m: int, n: int, groups: int
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Thin SVDs of the reference matrix's column blocks, fetched once per spec."""
+    key = (precision, seed, m, n, groups)
+    svds = _BLOCK_SVDS.get(key)
+    if svds is None:
+        blocks = split_columns(reference_matrix(seed, m, n), groups)
+        svds = _BLOCK_SVDS[key] = tuple(default_decomposition_cache.svd(block) for block in blocks)
+    return svds
+
+
+def _layer_error(precision: str, seed: int, m: int, n: int, groups: int, rank: int) -> float:
+    """Relative group low-rank error of one reference layer (Theorem 1's ``ε_g/||W||``)."""
+    key = (precision, seed, m, n, groups, rank)
+    error = _LAYER_ERRORS.get(key)
+    if error is None:
+        svds = _block_svds(precision, seed, m, n, groups)
+        factors = GroupLowRankFactors(tuple(truncate_svd(svd, rank) for svd in svds))
+        error = _LAYER_ERRORS[key] = group_relative_error(reference_matrix(seed, m, n), factors)
+    return error
 
 
 @dataclass
@@ -117,10 +136,6 @@ class AccuracyProxy:
                 f"unknown network {self.network!r}; expected one of {sorted(BASELINE_ACCURACY)}"
             )
         self._geometries = compressible_geometries(self.network)
-        self._matrices = [_reference_matrix(g, self.seed) for g in self._geometries]
-        # Per-instance calibration memo, keyed by execution precision (the
-        # same proxy instance may serve sweeps under different backends).
-        self._calibration: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._rng = np.random.default_rng(self.seed + 12345)
 
     # ------------------------------------------------------------------
@@ -136,39 +151,30 @@ class AccuracyProxy:
     # ------------------------------------------------------------------
     def mean_relative_error(self, rank_divisor: int, groups: int) -> float:
         """Mean per-layer relative reconstruction error of a (g, divisor) configuration."""
-        key = (self.network, active_precision(), self.seed, groups, rank_divisor)
-        if key in _ERROR_CACHE:
-            return _ERROR_CACHE[key]
-        errors: List[float] = []
-        for geometry, matrix in zip(self._geometries, self._matrices):
-            rank = max(1, geometry.m // rank_divisor)
-            effective_groups = self._effective_groups(geometry, groups)
-            # Memoized through the engine cache: every rank divisor of a
-            # (layer, group count) pair shares one set of block SVDs.
-            factors = cached_group_decompose(matrix, rank, effective_groups)
-            errors.append(group_relative_error(matrix, factors))
-        value = float(np.mean(errors))
-        _ERROR_CACHE[key] = value
-        return value
-
-    @staticmethod
-    def _effective_groups(geometry: ConvGeometry, groups: int) -> int:
-        """Largest group count ≤ requested that divides the layer's column count."""
-        candidate = min(groups, geometry.in_channels)
-        while geometry.n % candidate != 0:
-            candidate -= 1
-        return max(1, candidate)
+        if rank_divisor < 1:
+            raise ValueError(f"rank_divisor must be at least 1, got {rank_divisor}")
+        if groups < 1:
+            raise ValueError(f"groups must be at least 1, got {groups}")
+        precision = active_precision()
+        errors: List[float] = [
+            _layer_error(
+                precision,
+                self.seed,
+                geometry.m,
+                geometry.n,
+                effective_groups(geometry, groups),
+                max(1, geometry.m // rank_divisor),
+            )
+            for geometry in self._geometries
+        ]
+        return float(np.mean(errors))
 
     def _calibration_curve(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted (error, accuracy) anchor arrays with monotonicity enforced."""
-        precision = active_precision()
-        cached = self._calibration.get(precision)
+        cache_key = (self.network, active_precision(), self.seed)
+        cached = _CALIBRATION_CACHE.get(cache_key)
         if cached is not None:
             return cached
-        cache_key = (self.network, precision, self.seed)
-        if cache_key in _CALIBRATION_CACHE:
-            self._calibration[precision] = _CALIBRATION_CACHE[cache_key]
-            return self._calibration[precision]
         anchors = TABLE1_ACCURACY[self.network]
         errors = []
         accuracies = []
@@ -184,7 +190,6 @@ class AccuracyProxy:
         # the high-error end so the interpolation is monotone non-increasing.
         acc_monotone = np.maximum.accumulate(acc_sorted[::-1])[::-1]
         curve = (errors_sorted, acc_monotone)
-        self._calibration[precision] = curve
         _CALIBRATION_CACHE[cache_key] = curve
         return curve
 

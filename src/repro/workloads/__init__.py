@@ -5,7 +5,10 @@ The package replaces the old single-module catalogue with a registry
 
 * :mod:`.geometries` — the paper's evaluation CNNs (ResNet-20, WRN16-4),
 * :mod:`.modern`     — modern-layer presets (grouped / depthwise / attention):
-  ``resnext20``, ``mobilenet_cifar``, ``tiny_transformer``.
+  ``resnext20``, ``mobilenet_cifar``, ``tiny_transformer``,
+
+plus :mod:`.reference`, the memoized read-only Gaussian reference weights
+that layers known only by their geometry are measured on.
 
 Importing the package registers every preset; ``registered_networks()``
 enumerates them and ``network_geometries(name)`` dispatches with an
@@ -23,6 +26,7 @@ from .modern import (
     resnext20_geometries,
     tiny_transformer_geometries,
 )
+from .reference import effective_groups, reference_matrix
 from .registry import (
     NETWORKS,
     NetworkEntry,
@@ -47,4 +51,6 @@ __all__ = [
     "resnext20_geometries",
     "mobilenet_cifar_geometries",
     "tiny_transformer_geometries",
+    "reference_matrix",
+    "effective_groups",
 ]

@@ -72,3 +72,51 @@ def test_backend_listing_works_in_fresh_interpreter():
     )
     result = _run_fresh(script)
     assert result.returncode == 0, result.stderr
+
+
+#: Training-substrate modules a report never uses.  The package ``__init__``s
+#: resolve their exports lazily (PEP 562), so none of these may load on the
+#: report path.
+REPORT_UNUSED = ("repro.nn", "repro.data", "repro.training.trainer", "repro.pruning", "repro.quantization")
+
+
+def test_store_backed_report_path_skips_training_substrate(tmp_path):
+    script = (
+        "import sys\n"
+        "import repro, repro.cli\n"
+        "from repro.experiments.runner import run_all\n"
+        "from repro.store import ExperimentStore\n"
+        f"run_all(include_fig6_arrays=(32,), robustness_trials=1, store=ExperimentStore({str(tmp_path)!r}))\n"
+        f"loaded = [name for name in {REPORT_UNUSED!r}\n"
+        "          if any(m == name or m.startswith(name + '.') for m in sys.modules)]\n"
+        "assert not loaded, f'the report path imported {loaded}'\n"
+    )
+    result = _run_fresh(script)
+    assert result.returncode == 0, result.stderr
+
+
+def test_lazy_exports_resolve_in_fresh_interpreter():
+    script = (
+        "import importlib\n"
+        "for package in ('repro', 'repro.training', 'repro.lowrank'):\n"
+        "    module = importlib.import_module(package)\n"
+        "    assert len(module.__all__) == len(set(module.__all__)), package\n"
+        "    for name in module.__all__:\n"
+        "        assert getattr(module, name) is not None, (package, name)\n"
+        "        assert name in dir(module), (package, name)\n"
+        "namespace = {}\n"
+        "exec('from repro import *', namespace)\n"
+        "import repro\n"
+        "assert set(repro.__all__) <= set(namespace), set(repro.__all__) - set(namespace)\n"
+        "assert namespace['AccuracyProxy'] is repro.training.proxy.AccuracyProxy\n"
+        "import repro.lowrank.decompose, repro.lowrank.group\n"
+        "assert callable(repro.lowrank.decompose), 'the function, not the submodule'\n"
+        "try:\n"
+        "    repro.not_a_module\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute resolved')\n"
+    )
+    result = _run_fresh(script)
+    assert result.returncode == 0, result.stderr

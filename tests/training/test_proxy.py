@@ -6,7 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.engine.cache as cache_module
+import repro.training.proxy as proxy_module
+from repro.backend import using_backend
+from repro.engine.cache import DecompositionCache
+from repro.lowrank.decompose import LowRankFactors
+from repro.lowrank.group import GroupLowRankFactors, group_relative_error
 from repro.training.proxy import BASELINE_ACCURACY, TABLE1_ACCURACY, AccuracyProxy
+from repro.workloads import compressible_geometries, reference_matrix
 from repro.training.seeds import EXPERIMENT_SEEDS, seed_everything, spawn_generator
 
 
@@ -94,6 +101,120 @@ class TestBaselineProxies:
         noisy = AccuracyProxy(network="resnet20", noise_std=0.5)
         values = {noisy.lowrank_accuracy(8, 4) for _ in range(5)}
         assert len(values) > 1
+
+
+def _oracle_mean_relative_errors(network: str, groups: int, divisors, seed: int = 0):
+    """Unmemoized proxy errors of one group count: every layer regenerated and
+    decomposed from scratch, one plain ``numpy.linalg.svd`` per column block,
+    truncated per rank as :func:`repro.lowrank.decompose.decompose` does."""
+    per_layer = {divisor: [] for divisor in divisors}
+    for geometry in compressible_geometries(network):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(geometry.m, geometry.n))
+        )
+        matrix = rng.normal(0.0, 1.0 / np.sqrt(geometry.n), size=(geometry.m, geometry.n))
+        layer_groups = min(groups, geometry.in_channels)
+        while geometry.n % layer_groups:
+            layer_groups -= 1
+        svds = [np.linalg.svd(block, full_matrices=False) for block in np.split(matrix, layer_groups, axis=1)]
+        for divisor in divisors:
+            rank = max(1, geometry.m // divisor)
+            factors = GroupLowRankFactors(
+                tuple(LowRankFactors(left=u[:, :rank] * s[:rank], right=vt[:rank]) for u, s, vt in svds)
+            )
+            per_layer[divisor].append(group_relative_error(matrix, factors))
+    return {divisor: float(np.mean(errors)) for divisor, errors in per_layer.items()}
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty proxy memos and a fresh decomposition cache, restored afterwards."""
+    cache = DecompositionCache()
+    monkeypatch.setattr(proxy_module, "default_decomposition_cache", cache)
+    for name in ("_BLOCK_SVDS", "_LAYER_ERRORS", "_CALIBRATION_CACHE"):
+        monkeypatch.setattr(proxy_module, name, {})
+    return cache
+
+
+class TestProxyMemo:
+    def test_construction_generates_no_matrix(self):
+        before = reference_matrix.cache_info()
+        AccuracyProxy(network="wrn16_4", seed=1234)
+        assert reference_matrix.cache_info() == before
+
+    def test_reference_matrices_are_shared_and_read_only(self):
+        matrix = reference_matrix(0, 16, 144)
+        assert matrix is reference_matrix(0, 16, 144)
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("network", sorted(TABLE1_ACCURACY))
+    def test_table1_anchors_match_unmemoized_oracle(self, network):
+        proxy = AccuracyProxy(network=network)
+        anchors = sorted(TABLE1_ACCURACY[network])
+        assert len(anchors) == 16
+        with using_backend("numpy64"):
+            for groups in sorted({groups for groups, _ in anchors}):
+                divisors = [divisor for g, divisor in anchors if g == groups]
+                expected = _oracle_mean_relative_errors(network, groups, divisors)
+                for divisor in divisors:
+                    assert proxy.mean_relative_error(divisor, groups) == expected[divisor], (groups, divisor)
+
+    def test_one_fingerprint_per_distinct_block(self, fresh_memos, monkeypatch):
+        calls = []
+        fingerprint = cache_module.matrix_fingerprint
+        monkeypatch.setattr(
+            cache_module, "matrix_fingerprint", lambda m: calls.append(m.shape) or fingerprint(m)
+        )
+        blocks = set()
+        for network, anchors in TABLE1_ACCURACY.items():
+            proxy = AccuracyProxy(network=network)
+            for groups, divisor in anchors:
+                proxy.mean_relative_error(divisor, groups)
+                for geometry in compressible_geometries(network):
+                    layer_groups = proxy_module.effective_groups(geometry, groups)
+                    blocks.update((geometry.m, geometry.n, layer_groups, i) for i in range(layer_groups))
+        assert len(calls) == len(blocks)
+        assert fresh_memos.misses == len(blocks)
+
+    def test_precisions_never_share_memo_entries(self, fresh_memos):
+        proxy = AccuracyProxy(network="resnet20")
+        with using_backend("numpy64"):
+            wide = proxy.mean_relative_error(8, 4)
+        with using_backend("numpy32"):
+            narrow = proxy.mean_relative_error(8, 4)
+        for memo in (proxy_module._BLOCK_SVDS, proxy_module._LAYER_ERRORS):
+            by_precision = {}
+            for key in memo:
+                by_precision.setdefault(key[0], set()).add(key[1:])
+            assert set(by_precision) == {"float64", "float32"}
+            assert by_precision["float64"] == by_precision["float32"]
+        for svds in proxy_module._BLOCK_SVDS.values():
+            assert len({u.dtype for u, _, _ in svds}) == 1
+        # Served from a memo filled in the other order, each precision still
+        # sees only its own errors.
+        for name in ("_BLOCK_SVDS", "_LAYER_ERRORS"):
+            getattr(proxy_module, name).clear()
+        fresh_memos.clear()
+        with using_backend("numpy32"):
+            assert proxy.mean_relative_error(8, 4) == narrow
+        with using_backend("numpy64"):
+            assert proxy.mean_relative_error(8, 4) == wide
+
+    @pytest.mark.parametrize(
+        "rank_divisor,groups,bad",
+        [(0, 1, "rank_divisor"), (-4, 1, "rank_divisor"), (4, 0, "groups"), (4, -2, "groups")],
+    )
+    def test_invalid_configuration_fails_loudly(self, rank_divisor, groups, bad, fresh_memos):
+        proxy = AccuracyProxy(network="resnet20")
+        value = rank_divisor if bad == "rank_divisor" else groups
+        for method in (proxy.mean_relative_error, proxy.lowrank_accuracy):
+            with pytest.raises(ValueError, match=rf"{bad} must be at least 1, got {value}"):
+                method(rank_divisor, groups)
+        assert not proxy_module._LAYER_ERRORS
+        assert not proxy_module._BLOCK_SVDS
+        assert len(fresh_memos) == 0
 
 
 class TestSeeds:
