@@ -14,8 +14,8 @@ expensive step.  Two observations make memoization safe and very effective:
 
 The cache is keyed by a content hash of the matrix bytes plus the requested
 ``(rank, groups)``, so logically identical matrices hit regardless of object
-identity.  A module-level default cache is shared by the execution contexts,
-the accuracy proxy and anything else that decomposes weights repeatedly.
+identity.  A module-level default cache is shared by the execution contexts
+and anything else that decomposes weights repeatedly.
 
 The in-memory cache is **LRU-bounded** (``maxsize`` entries; the thin SVD of
 a large layer is three dense matrices, so unbounded growth across a long
@@ -94,8 +94,8 @@ class DecompositionCache:
         self._svds: "OrderedDict[object, Tuple[np.ndarray, np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
-        # The module-level default cache is shared across map_sweep's thread
-        # pool; the LRU bookkeeping (move_to_end / popitem) must not race.
+        # The module-level default cache is shared by the server's job
+        # threads; the LRU bookkeeping (move_to_end / popitem) must not race.
         # SVD computation and store I/O happen outside the lock.
         self._lock = threading.Lock()
         self._store = None
@@ -219,7 +219,7 @@ class DecompositionCache:
         return len(self._svds)
 
 
-#: Process-wide cache shared by execution contexts and the accuracy proxy.
+#: Process-wide cache shared by the execution contexts.
 default_decomposition_cache = DecompositionCache()
 
 

@@ -262,11 +262,12 @@ class MonteCarloTiledMatrix:
             for trial in range(self.trials):
                 base = self.seed + trial * self.trial_stride
                 for t, tile in enumerate(self._blocks):
-                    # One generator per (trial, tile), consumed g_pos-then-g_neg
-                    # — the exact stream of the per-tile oracle.
-                    rng = np.random.default_rng(base + tile.index)
-                    g_pos = self.noise.apply(clean.g_pos[t], cell.g_min, cell.g_max, rng)
-                    g_neg = self.noise.apply(clean.g_neg[t], cell.g_min, cell.g_max, rng)
+                    # One stream per (trial, tile), consumed g_pos-then-g_neg
+                    # — the exact stream of the per-tile oracle, its draws
+                    # served from the process's stream memo.
+                    g_pos, g_neg = self.noise.apply_pair(
+                        clean.g_pos[t], clean.g_neg[t], cell.g_min, cell.g_max, base + tile.index
+                    )
                     diff[trial, t] = g_pos - g_neg
         # Programming stays float64 (the precision policy governs *execution*
         # arithmetic only, so stored_matrix() keeps the bit-identity contract

@@ -33,8 +33,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..backend import active_precision
-from ..engine.cache import default_decomposition_cache, truncate_svd
+from ..backend import active_precision, resolve_backend
+from ..engine.cache import truncate_svd
 from ..lowrank.group import GroupLowRankFactors, group_relative_error, split_columns
 from ..workloads import compressible_geometries, effective_groups, reference_matrix
 
@@ -88,37 +88,40 @@ QUANTIZATION_ACCURACY: Dict[str, Dict[int, float]] = {
 #: Module-level memos shared by every proxy instance, keyed by the spec that
 #: generates the data rather than by its bytes: a reference matrix depends
 #: only on ``(seed, m, n)`` (:func:`repro.workloads.reference_matrix`), so
-#: layers of one shape share their block SVDs and per-rank errors, and no
-#: matrix is generated or hashed until an error is first needed.  Keys lead
-#: with the active execution precision (:func:`repro.backend.active_precision`)
-#: because the errors flow through backend SVDs — a process that switches
-#: between numpy64 and numpy32 must never serve one precision's errors (or
-#: the calibration curve built from them) to the other.
-_BLOCK_SVDS: Dict[Tuple[str, int, int, int, int], Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = {}
+#: layers of one shape share their per-rank errors, and no matrix is
+#: generated until an error is first needed.  Only the errors are kept: the
+#: block SVDs behind them are dropped once the errors of every rank a
+#: report asks for are derived.  Keys lead with the active execution
+#: precision (:func:`repro.backend.active_precision`) because the errors
+#: flow through backend SVDs — a process that switches between numpy64 and
+#: numpy32 must never serve one precision's errors (or the calibration
+#: curve built from them) to the other.
 _LAYER_ERRORS: Dict[Tuple[str, int, int, int, int, int], float] = {}
 _CALIBRATION_CACHE: Dict[Tuple[str, str, int], Tuple[np.ndarray, np.ndarray]] = {}
 
-
-def _block_svds(
-    precision: str, seed: int, m: int, n: int, groups: int
-) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Thin SVDs of the reference matrix's column blocks, fetched once per spec."""
-    key = (precision, seed, m, n, groups)
-    svds = _BLOCK_SVDS.get(key)
-    if svds is None:
-        blocks = split_columns(reference_matrix(seed, m, n), groups)
-        svds = _BLOCK_SVDS[key] = tuple(default_decomposition_cache.svd(block) for block in blocks)
-    return svds
+#: Rank divisors of the Table I anchors: every report's proxy configuration.
+_ANCHOR_DIVISORS = sorted({divisor for anchors in TABLE1_ACCURACY.values() for _, divisor in anchors})
 
 
 def _layer_error(precision: str, seed: int, m: int, n: int, groups: int, rank: int) -> float:
-    """Relative group low-rank error of one reference layer (Theorem 1's ``ε_g/||W||``)."""
+    """Relative group low-rank error of one reference layer (Theorem 1's ``ε_g/||W||``).
+
+    A miss decomposes the layer's column blocks once, directly through the
+    active backend — not the shared decomposition cache, which would pin
+    the factors for the life of the process and spill them into an
+    attached store — and memoizes the error of ``rank`` and of every
+    anchor rank of the shape, so one SVD per block serves all of Table I.
+    """
     key = (precision, seed, m, n, groups, rank)
     error = _LAYER_ERRORS.get(key)
     if error is None:
-        svds = _block_svds(precision, seed, m, n, groups)
-        factors = GroupLowRankFactors(tuple(truncate_svd(svd, rank) for svd in svds))
-        error = _LAYER_ERRORS[key] = group_relative_error(reference_matrix(seed, m, n), factors)
+        matrix = reference_matrix(seed, m, n)
+        backend = resolve_backend(None)
+        svds = [backend.svd(block) for block in split_columns(matrix, groups)]
+        for each in {rank, *(max(1, m // divisor) for divisor in _ANCHOR_DIVISORS)}:
+            factors = GroupLowRankFactors(tuple(truncate_svd(svd, each) for svd in svds))
+            _LAYER_ERRORS[key[:-1] + (each,)] = group_relative_error(matrix, factors)
+        error = _LAYER_ERRORS[key]
     return error
 
 

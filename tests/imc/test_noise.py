@@ -33,6 +33,17 @@ class TestConductanceVariation:
         with pytest.raises(ValueError):
             apply_conductance_variation(np.ones((2, 2)), -0.1, rng)
 
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3])
+    def test_scaled_standard_normal_is_the_lognormal_draw(self, rng, sigma):
+        """σ·standard_normal equals normal(0, σ) bit for bit and consumes the
+        generator identically — what lets one memoized block serve every σ."""
+        g = rng.random((64, 48)) * 1e-4
+        scaled, direct = np.random.default_rng(5), np.random.default_rng(5)
+        noisy = apply_conductance_variation(g, sigma, scaled)
+        expected = g * np.exp(direct.normal(0.0, sigma, size=g.shape))
+        np.testing.assert_array_equal(noisy, expected)
+        assert scaled.bit_generator.state == direct.bit_generator.state
+
 
 class TestStuckAtFaults:
     def test_zero_rate_identity(self, rng):
@@ -109,3 +120,53 @@ class TestNoiseModel:
         small = NoiseModel(conductance_sigma=0.01, seed=1).apply(g, 1e-6, 1e-4)
         large = NoiseModel(conductance_sigma=0.3, seed=1).apply(g, 1e-6, 1e-4)
         assert np.linalg.norm(large - g) > np.linalg.norm(small - g)
+
+
+def _dense_mask_oracle(model: NoiseModel, g: np.ndarray, g_min: float, g_max: float, rng) -> np.ndarray:
+    """The stream contract written out with dense masks: log-normal variation
+    from ``normal(0, σ)``, a fault and a stuck-on uniform per cell, IR drop,
+    clipping."""
+    out = g.copy()
+    if model.conductance_sigma:
+        out = g * np.exp(rng.normal(0.0, model.conductance_sigma, size=g.shape))
+    if model.stuck_at_rate:
+        faulty = rng.random(g.shape) < model.stuck_at_rate
+        stuck_on = rng.random(g.shape) < 0.5
+        out[faulty & stuck_on] = g_max
+        out[faulty & ~stuck_on] = g_min
+    if model.ir_drop_severity:
+        rows = g.shape[0]
+        out = out * (1.0 - model.ir_drop_severity * (np.arange(rows) / (rows - 1)))[:, None]
+    return np.clip(out, 0.0, None)
+
+
+class TestStreamContract:
+    """``apply`` (sparse stuck-at cells) and ``apply_pair`` (memoized draws)
+    reproduce the dense-mask formulation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NoiseModel(conductance_sigma=0.2),
+            NoiseModel(stuck_at_rate=0.04),
+            NoiseModel(stuck_at_rate=0.5, ir_drop_severity=0.1),
+            NoiseModel(conductance_sigma=0.1, stuck_at_rate=1.0),
+            NoiseModel.typical(),
+        ],
+    )
+    def test_apply_and_apply_pair_match_dense_masks(self, rng, model):
+        g_pos, g_neg = rng.uniform(1e-6, 1e-4, (2, 24, 20))
+        for seed in (0, 3):
+            oracle = np.random.default_rng(seed)
+            expected = [_dense_mask_oracle(model, g, 1e-6, 1e-4, oracle) for g in (g_pos, g_neg)]
+            direct = np.random.default_rng(seed)
+            applied = [model.apply(g, 1e-6, 1e-4, direct) for g in (g_pos, g_neg)]
+            for _ in range(2):  # the second call reads the stream memo
+                paired = model.apply_pair(g_pos, g_neg, 1e-6, 1e-4, seed)
+                for got in (applied, paired):
+                    for a, b in zip(got, expected):
+                        np.testing.assert_array_equal(a, b)
+
+    def test_g_min_above_g_max_rejected(self, rng):
+        with pytest.raises(ValueError, match="g_min must not exceed g_max"):
+            NoiseModel.typical().apply(rng.random((4, 4)), 1e-4, 1e-6)

@@ -8,7 +8,7 @@ import pytest
 
 import repro.engine.cache as cache_module
 import repro.training.proxy as proxy_module
-from repro.backend import using_backend
+from repro.backend import Backend, using_backend
 from repro.engine.cache import DecompositionCache
 from repro.lowrank.decompose import LowRankFactors
 from repro.lowrank.group import GroupLowRankFactors, group_relative_error
@@ -128,10 +128,11 @@ def _oracle_mean_relative_errors(network: str, groups: int, divisors, seed: int 
 
 @pytest.fixture
 def fresh_memos(monkeypatch):
-    """Empty proxy memos and a fresh decomposition cache, restored afterwards."""
+    """Empty proxy memos and a fresh shared decomposition cache, restored
+    afterwards; the proxy must leave that cache empty."""
     cache = DecompositionCache()
-    monkeypatch.setattr(proxy_module, "default_decomposition_cache", cache)
-    for name in ("_BLOCK_SVDS", "_LAYER_ERRORS", "_CALIBRATION_CACHE"):
+    monkeypatch.setattr(cache_module, "default_decomposition_cache", cache)
+    for name in ("_LAYER_ERRORS", "_CALIBRATION_CACHE"):
         monkeypatch.setattr(proxy_module, name, {})
     return cache
 
@@ -161,11 +162,13 @@ class TestProxyMemo:
                 for divisor in divisors:
                     assert proxy.mean_relative_error(divisor, groups) == expected[divisor], (groups, divisor)
 
-    def test_one_fingerprint_per_distinct_block(self, fresh_memos, monkeypatch):
-        calls = []
+    def test_one_svd_per_distinct_block(self, fresh_memos, monkeypatch):
+        svds, fingerprints = [], []
+        backend_svd = Backend.svd
+        monkeypatch.setattr(Backend, "svd", lambda self, m: svds.append(m.shape) or backend_svd(self, m))
         fingerprint = cache_module.matrix_fingerprint
         monkeypatch.setattr(
-            cache_module, "matrix_fingerprint", lambda m: calls.append(m.shape) or fingerprint(m)
+            cache_module, "matrix_fingerprint", lambda m: fingerprints.append(m.shape) or fingerprint(m)
         )
         blocks = set()
         for network, anchors in TABLE1_ACCURACY.items():
@@ -175,32 +178,35 @@ class TestProxyMemo:
                 for geometry in compressible_geometries(network):
                     layer_groups = proxy_module.effective_groups(geometry, groups)
                     blocks.update((geometry.m, geometry.n, layer_groups, i) for i in range(layer_groups))
-        assert len(calls) == len(blocks)
-        assert fresh_memos.misses == len(blocks)
+        assert len(svds) == len(blocks)
+        # The proxy decomposes directly: the shared cache neither hashes,
+        # misses nor holds anything.
+        assert fingerprints == []
+        assert fresh_memos.misses == 0
+        assert len(fresh_memos) == 0
 
     def test_precisions_never_share_memo_entries(self, fresh_memos):
         proxy = AccuracyProxy(network="resnet20")
-        with using_backend("numpy64"):
-            wide = proxy.mean_relative_error(8, 4)
-        with using_backend("numpy32"):
-            narrow = proxy.mean_relative_error(8, 4)
-        for memo in (proxy_module._BLOCK_SVDS, proxy_module._LAYER_ERRORS):
+        served = {}
+        for name in ("numpy64", "numpy32"):
+            with using_backend(name):
+                served[name] = (proxy.mean_relative_error(8, 4), proxy.lowrank_accuracy(8, 4))
+        # Error keys lead with the precision, calibration keys carry it second.
+        for memo, position in ((proxy_module._LAYER_ERRORS, 0), (proxy_module._CALIBRATION_CACHE, 1)):
             by_precision = {}
             for key in memo:
-                by_precision.setdefault(key[0], set()).add(key[1:])
+                rest = key[:position] + key[position + 1 :]
+                by_precision.setdefault(key[position], set()).add(rest)
             assert set(by_precision) == {"float64", "float32"}
             assert by_precision["float64"] == by_precision["float32"]
-        for svds in proxy_module._BLOCK_SVDS.values():
-            assert len({u.dtype for u, _, _ in svds}) == 1
-        # Served from a memo filled in the other order, each precision still
-        # sees only its own errors.
-        for name in ("_BLOCK_SVDS", "_LAYER_ERRORS"):
+        # Served from memos filled in the other order, each precision still
+        # sees only its own errors and calibration.
+        for name in ("_LAYER_ERRORS", "_CALIBRATION_CACHE"):
             getattr(proxy_module, name).clear()
-        fresh_memos.clear()
-        with using_backend("numpy32"):
-            assert proxy.mean_relative_error(8, 4) == narrow
-        with using_backend("numpy64"):
-            assert proxy.mean_relative_error(8, 4) == wide
+        for name in ("numpy32", "numpy64"):
+            with using_backend(name):
+                assert (proxy.mean_relative_error(8, 4), proxy.lowrank_accuracy(8, 4)) == served[name]
+        assert len(fresh_memos) == 0
 
     @pytest.mark.parametrize(
         "rank_divisor,groups,bad",
@@ -213,7 +219,7 @@ class TestProxyMemo:
             with pytest.raises(ValueError, match=rf"{bad} must be at least 1, got {value}"):
                 method(rank_divisor, groups)
         assert not proxy_module._LAYER_ERRORS
-        assert not proxy_module._BLOCK_SVDS
+        assert not proxy_module._CALIBRATION_CACHE
         assert len(fresh_memos) == 0
 
 
