@@ -18,7 +18,7 @@ possible:
   *relative to its own reference* fails;
 * reference-less kernels fall back to comparing absolute ``engine_seconds``;
 * correctness flags carried by the document (``matches_reference``,
-  ``bit_identical*``, ``byte_identical``, ``within_policy_envelope``,
+  ``byte_identical``, ``within_policy_envelope``,
   ``trials_bit_identical_to_oracle``) must all still be true — a "fast but
   wrong" run is a failure regardless of timing.
 
@@ -29,18 +29,10 @@ one aggregated stderr line listing every absent name, so a renamed or
 removed bench is impossible to miss; new kernels are reported but pass
 (commit a refreshed baseline to start gating them).
 
-Optional-dependency benches may emit explicit ``skipped`` records (e.g. the
-``compiled_backend_*`` entries on a host without numba) instead of dropping
-out of the document.  A skip in the current run passes by default and is
-listed as such; ``--require-all`` turns current-run skips into failures —
-the bench-regression job passes it, because its runner installs every extra
-and a skip there means the environment silently lost one.  A skip marker in
-the *baseline* makes the kernel ``ungated`` (there is nothing to compare
-against) until a refreshed baseline with real numbers is committed.  The markdown
-delta summary is written for CI to upload as an artifact — and, when the run
-is a GitHub Actions job (``$GITHUB_STEP_SUMMARY`` is set), appended to the
-job summary so a regression is readable straight from the run page without
-downloading anything.
+The markdown delta summary is written for CI to upload as an artifact — and,
+when the run is a GitHub Actions job (``$GITHUB_STEP_SUMMARY`` is set),
+appended to the job summary so a regression is readable straight from the
+run page without downloading anything.
 """
 
 from __future__ import annotations
@@ -55,7 +47,6 @@ from typing import Dict, List, Optional, Tuple
 #: Boolean fields that assert correctness; False anywhere is a failure.
 CORRECTNESS_FLAGS = (
     "matches_reference",
-    "bit_identical_to_numpy64",
     "trials_bit_identical_to_oracle",
     "byte_identical",
     "within_policy_envelope",
@@ -92,8 +83,6 @@ class Delta:
         self.ratio = ratio
         self.status = status
         self.note = note
-        # An assignable verdict (not derived on the fly) so policy flags like
-        # --require-all can escalate an otherwise-passing status.
         self.failed = status in ("regressed", "missing", "incorrect")
 
 
@@ -105,14 +94,8 @@ def _failed_flags(entry: Dict) -> List[str]:
     return [flag for flag in CORRECTNESS_FLAGS if entry.get(flag) is False]
 
 
-def compare(
-    baseline: Dict, current: Dict, tolerance: float, require_all: bool = False
-) -> List[Delta]:
-    """Per-kernel deltas, baseline order first, new kernels appended.
-
-    ``require_all`` escalates explicit current-run skips to failures: every
-    baseline kernel must have been *measured*, not merely accounted for.
-    """
+def compare(baseline: Dict, current: Dict, tolerance: float) -> List[Delta]:
+    """Per-kernel deltas, baseline order first, new kernels appended."""
     if tolerance <= 1.0:
         raise ValueError(f"tolerance must exceed 1.0, got {tolerance}")
     base_entries = _by_kernel(baseline)
@@ -123,25 +106,6 @@ def compare(
         if entry is None:
             deltas.append(
                 Delta(kernel, "-", None, None, None, "missing", "kernel absent from current run")
-            )
-            continue
-        if "skipped" in entry:
-            delta = Delta(
-                kernel, "-", None, None, None, "skipped",
-                f"skipped in current run: {entry['skipped']}",
-            )
-            delta.failed = require_all
-            deltas.append(delta)
-            continue
-        if "skipped" in base:
-            # The committed baseline is a skip marker (e.g. recorded on a
-            # host without the backend's extra): the current measurement has
-            # nothing to be gated against until a refreshed baseline lands.
-            deltas.append(
-                Delta(
-                    kernel, "-", None, entry.get("engine_seconds"), None, "ungated",
-                    "baseline is a skip marker (commit a refreshed baseline to gate it)",
-                )
             )
             continue
         bad_flags = _failed_flags(entry)
@@ -265,12 +229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--markdown", default="", help="also write the delta summary to this markdown file"
     )
-    parser.add_argument(
-        "--require-all", action="store_true",
-        help="fail on explicit current-run skips too: every baseline kernel "
-             "must have been measured (the bench-regression job's mode — its "
-             "runner installs every extra, so a skip means a lost dependency)",
-    )
     args = parser.parse_args(argv)
     try:
         baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
@@ -278,7 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ValueError) as error:
         print(f"cannot load benchmark documents: {error}", file=sys.stderr)
         return 2
-    deltas = compare(baseline, current, args.tolerance, require_all=args.require_all)
+    deltas = compare(baseline, current, args.tolerance)
     report = render_markdown(deltas, args.tolerance)
     if args.markdown:
         Path(args.markdown).write_text(report, encoding="utf-8")

@@ -27,7 +27,7 @@ if str(SRC) not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.backend import backend_availability, get_backend  # noqa: E402
+from repro.backend import get_backend  # noqa: E402
 from repro.engine.cache import DecompositionCache  # noqa: E402
 from repro.engine.context import ExecutionContext, LayerPlan  # noqa: E402
 from repro.engine.kernels import (  # noqa: E402
@@ -236,47 +236,15 @@ def bench_store(repeats: int) -> Dict[str, object]:
     }
 
 
-def bench_backends(repeats: int) -> List[Dict[str, object]]:
-    """The pluggable execution backends on their headline workloads.
-
-    * ``threaded_backend_large_sweep`` — the chunked tile executor on a
-      large-sweep-shaped workload (a 512×1152 layer on 64×64 tiles: 144
-      stacked tiles, 1024-vector batches) against the ``numpy64`` reference.
-      The acceptance floor is ≥1.5x, and ``bit_identical`` must hold — the
-      threaded backend's contract is speed without a single ulp of drift.
-    * ``numpy32_backend_monte_carlo`` — the float32 precision policy on the
-      Monte-Carlo robustness workload (16 stacked trials), reporting the
-      speedup over float64 execution and the realized output deviation so the
-      documented tolerance envelope stays honest.
+def bench_backends(repeats: int) -> Dict[str, object]:
+    """``numpy32_backend_monte_carlo`` — the float32 precision policy on the
+    Monte-Carlo robustness workload (16 stacked trials), reporting the
+    speedup over float64 execution and the realized output deviation so the
+    documented tolerance envelope stays honest.
     """
     rng = np.random.default_rng(7)
     noise = NoiseModel.typical()
-
-    # Large-sweep workload: many tiles, deep batch — the shape the Fig. 6 /
-    # robustness sweeps push through the engine per layer.
-    matrix = rng.standard_normal((512, 1152))
-    inputs = rng.standard_normal((1024, 1152))
     array = ArrayDims.square(64)
-    reference = programmed(matrix, array, noise, seed=13, backend="numpy64")
-    threaded = programmed(matrix, array, noise, seed=13, backend="threaded")
-    t_reference = best_of(lambda: reference.mvm_batch(inputs), repeats)
-    t_threaded = best_of(lambda: threaded.mvm_batch(inputs), repeats)
-    bit_identical = bool(
-        np.array_equal(threaded.mvm_batch(inputs), reference.mvm_batch(inputs))
-    )
-    large_sweep = {
-        "kernel": "threaded_backend_large_sweep",
-        "workload": (
-            f"512x1152 matrix on 64x64 tiles ({reference.allocated_tiles} stacked), "
-            f"1024-vector batch, typical noise, {get_backend('threaded').max_workers} workers"
-        ),
-        "engine_seconds": t_threaded,
-        "reference_seconds": t_reference,
-        "speedup": t_reference / t_threaded if t_threaded > 0 else None,
-        "bit_identical_to_numpy64": bit_identical,
-    }
-
-    # Monte-Carlo workload: the robustness sweep's stacked-trial kernel.
     mc_matrix = rng.standard_normal((128, 288))
     mc_inputs = rng.standard_normal((256, 288))
     mc64 = programmed(mc_matrix, array, noise, seed=17, trials=16, backend="numpy64")
@@ -286,7 +254,7 @@ def bench_backends(repeats: int) -> List[Dict[str, object]]:
     out64 = mc64.mvm_batch(mc_inputs)
     out32 = np.float64(mc32.mvm_batch(mc_inputs))
     max_rel = float(np.abs(out32 - out64).max() / np.abs(out64).max())
-    monte_carlo = {
+    return {
         "kernel": "numpy32_backend_monte_carlo",
         "workload": "128x288 matrix on 64x64 tiles, 16 trials, 256-vector batch, typical noise",
         "engine_seconds": t_mc32,
@@ -295,81 +263,6 @@ def bench_backends(repeats: int) -> List[Dict[str, object]]:
         "max_relative_deviation_vs_float64": max_rel,
         "within_policy_envelope": bool(max_rel <= get_backend("numpy32").policy.output_rtol),
     }
-    return [large_sweep, monte_carlo]
-
-
-def bench_compiled(repeats: int) -> List[Dict[str, object]]:
-    """The numba-compiled backend on the same headline workloads as ``backends``.
-
-    * ``compiled_backend_large_sweep`` — the JIT fused tile executor on the
-      large-sweep workload, against ``numpy64``.  The acceptance floor is
-      ≥2x after warmup (the comparator gates the committed baseline's
-      speedup ratio at the usual 1.25x tolerance).
-    * ``compiled_backend_monte_carlo`` — the stacked-(R·T) Monte-Carlo trial
-      kernel, reporting the realized deviation against float64 so the
-      documented ULP-scale tolerance envelope stays honest.
-
-    JIT compilation is excluded by an explicit ``warmup()`` before timing —
-    cold-compile cost is a property of the numba cache (persisted by CI),
-    not of the kernel.  On hosts without numba both entries are emitted as
-    explicit ``skipped`` records (the comparator reports them un-gated)
-    rather than silently dropping out of the document.
-    """
-    reason = backend_availability().get("compiled")
-    large_workload = "512x1152 matrix on 64x64 tiles, 1024-vector batch, typical noise"
-    mc_workload = "128x288 matrix on 64x64 tiles, 16 trials, 256-vector batch, typical noise"
-    if reason is not None:
-        return [
-            {"kernel": "compiled_backend_large_sweep", "workload": large_workload, "skipped": reason},
-            {"kernel": "compiled_backend_monte_carlo", "workload": mc_workload, "skipped": reason},
-        ]
-    compiled = get_backend("compiled")
-    compiled.warmup()
-    policy = compiled.policy
-    rng = np.random.default_rng(7)  # the backends-bench stream: same workloads
-    noise = NoiseModel.typical()
-
-    matrix = rng.standard_normal((512, 1152))
-    inputs = rng.standard_normal((1024, 1152))
-    array = ArrayDims.square(64)
-    reference = programmed(matrix, array, noise, seed=13, backend="numpy64")
-    jitted = programmed(matrix, array, noise, seed=13, backend="compiled")
-    jitted.mvm_batch(inputs[:2])  # warm the engine-shaped specialization too
-    t_reference = best_of(lambda: reference.mvm_batch(inputs), repeats)
-    t_compiled = best_of(lambda: jitted.mvm_batch(inputs), repeats)
-    out_ref = reference.mvm_batch(inputs)
-    out_jit = jitted.mvm_batch(inputs)
-    large_rel = float(np.abs(out_jit - out_ref).max() / np.abs(out_ref).max())
-    large_sweep = {
-        "kernel": "compiled_backend_large_sweep",
-        "workload": f"{large_workload} ({reference.allocated_tiles} stacked tiles)",
-        "engine_seconds": t_compiled,
-        "reference_seconds": t_reference,
-        "speedup": t_reference / t_compiled if t_compiled > 0 else None,
-        "max_relative_deviation_vs_float64": large_rel,
-        "within_policy_envelope": bool(large_rel <= policy.output_rtol),
-    }
-
-    mc_matrix = rng.standard_normal((128, 288))
-    mc_inputs = rng.standard_normal((256, 288))
-    mc64 = programmed(mc_matrix, array, noise, seed=17, trials=16, backend="numpy64")
-    mc_jit = programmed(mc_matrix, array, noise, seed=17, trials=16, backend="compiled")
-    mc_jit.mvm_batch(mc_inputs[:2])
-    t_mc64 = best_of(lambda: mc64.mvm_batch(mc_inputs), repeats)
-    t_mc_jit = best_of(lambda: mc_jit.mvm_batch(mc_inputs), repeats)
-    out64 = mc64.mvm_batch(mc_inputs)
-    out_jit = mc_jit.mvm_batch(mc_inputs)
-    mc_rel = float(np.abs(out_jit - out64).max() / np.abs(out64).max())
-    monte_carlo = {
-        "kernel": "compiled_backend_monte_carlo",
-        "workload": mc_workload,
-        "engine_seconds": t_mc_jit,
-        "reference_seconds": t_mc64,
-        "speedup": t_mc64 / t_mc_jit if t_mc_jit > 0 else None,
-        "max_relative_deviation_vs_float64": mc_rel,
-        "within_policy_envelope": bool(mc_rel <= policy.output_rtol),
-    }
-    return [large_sweep, monte_carlo]
 
 
 #: Monte-Carlo trial count of the parallel large-sweep benchmark grid.  Sized
@@ -479,7 +372,6 @@ BENCHMARKS = (
     ("window_search", bench_window_search),
     ("store", bench_store),
     ("backends", bench_backends),
-    ("compiled", bench_compiled),
     ("parallel", bench_parallel),
 )
 
@@ -512,9 +404,6 @@ def main(argv: Optional[list] = None) -> int:
         json.dump(document, handle, indent=2)
         handle.write("\n")
     for entry in results:
-        if "skipped" in entry:
-            print(f"{entry['kernel']:32s}    skipped  ({entry['skipped']})")
-            continue
         speedup = entry.get("speedup")
         label = f"{speedup:.1f}x vs reference" if speedup else "no reference"
         print(f"{entry['kernel']:32s} {entry['engine_seconds']*1e3:9.2f} ms  ({label})")

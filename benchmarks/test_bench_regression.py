@@ -91,7 +91,7 @@ class TestCompare:
         assert not delta.failed and delta.status == "new"
 
     @pytest.mark.parametrize(
-        "flag", ["matches_reference", "bit_identical_to_numpy64", "byte_identical"]
+        "flag", ["matches_reference", "within_policy_envelope", "byte_identical"]
     )
     def test_false_correctness_flag_fails_regardless_of_timing(self, flag):
         baseline = document(entry("a", speedup=2.0))
@@ -104,76 +104,9 @@ class TestCompare:
             compare_bench.compare(document(), document(), 1.0)
 
 
-def skip_entry(kernel, reason="host lacks numba"):
-    return {"kernel": kernel, "workload": "n/a", "skipped": reason}
-
-
-class TestSkipMarkers:
-    """Optional-dependency benches: explicit skips vs. silent absence."""
-
-    def test_current_run_skip_passes_by_default(self):
-        baseline = document(entry("a", speedup=2.0))
-        current = document(skip_entry("a"))
-        (delta,) = compare_bench.compare(baseline, current, 1.25)
-        assert not delta.failed
-        assert delta.status == "skipped"
-        assert "host lacks numba" in delta.note
-
-    def test_require_all_escalates_current_run_skips(self):
-        baseline = document(entry("a", speedup=2.0))
-        current = document(skip_entry("a"))
-        (delta,) = compare_bench.compare(baseline, current, 1.25, require_all=True)
-        assert delta.failed and delta.status == "skipped"
-
-    def test_baseline_skip_marker_never_gates(self):
-        """A measured kernel over a skip-marker baseline has nothing to be
-        compared against — ungated even under --require-all, until a real
-        baseline is committed."""
-        baseline = document(skip_entry("a"))
-        current = document(entry("a", engine=99.0, speedup=0.5))
-        for require_all in (False, True):
-            (delta,) = compare_bench.compare(baseline, current, 1.25, require_all=require_all)
-            assert not delta.failed
-            assert delta.status == "ungated"
-            assert "refreshed baseline" in delta.note
-
-    def test_skip_on_both_sides_counts_as_current_skip(self):
-        baseline = document(skip_entry("a"))
-        current = document(skip_entry("a"))
-        (delta,) = compare_bench.compare(baseline, current, 1.25)
-        assert delta.status == "skipped" and not delta.failed
-
-    def test_silent_absence_still_fails_without_require_all(self):
-        """--require-all governs explicit skips only; a kernel that vanishes
-        from the document entirely is always a failure."""
-        baseline = document(entry("a", speedup=2.0))
-        (delta,) = compare_bench.compare(baseline, document(), 1.25)
-        assert delta.failed and delta.status == "missing"
-
-
-class TestMainSkipFlags:
+class TestMainMissingKernels:
     def _write(self, path, doc):
         path.write_text(json.dumps(doc), encoding="utf-8")
-
-    def test_main_passes_on_skip_without_require_all(self, tmp_path, capsys):
-        base, cur = tmp_path / "base.json", tmp_path / "cur.json"
-        self._write(base, document(entry("a", speedup=2.0)))
-        self._write(cur, document(skip_entry("a")))
-        code = compare_bench.main(["--baseline", str(base), "--current", str(cur)])
-        capsys.readouterr()
-        assert code == 0
-
-    def test_main_require_all_fails_on_skip(self, tmp_path, capsys):
-        base, cur = tmp_path / "base.json", tmp_path / "cur.json"
-        self._write(base, document(entry("a", speedup=2.0)))
-        self._write(cur, document(skip_entry("a", "numba import failed")))
-        code = compare_bench.main(
-            ["--baseline", str(base), "--current", str(cur), "--require-all"]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "REGRESSION a" in captured.err
-        assert "numba import failed" in captured.err
 
     def test_main_aggregates_missing_kernels_on_stderr(self, tmp_path, capsys):
         """Every absent baseline kernel is named in one actionable line."""
@@ -200,23 +133,6 @@ class TestMainSkipFlags:
         assert code == 1
         assert "baseline entries missing" not in captured.err
         assert "REGRESSION a" in captured.err
-
-
-class TestCompiledBenchSkip:
-    def test_bench_compiled_emits_skip_records_without_numba(self, monkeypatch):
-        """On a host without numba the compiled bench reports itself skipped
-        instead of raising or silently dropping out of the document."""
-        monkeypatch.setattr(
-            kernel_timings,
-            "backend_availability",
-            lambda: {"compiled": "the optional dependency 'numba' is not installed"},
-        )
-        entries = kernel_timings.bench_compiled(repeats=1)
-        kernels = {e["kernel"] for e in entries}
-        assert kernels == {"compiled_backend_large_sweep", "compiled_backend_monte_carlo"}
-        for record in entries:
-            assert "numba" in record["skipped"]
-            assert "workload" in record
 
 
 class TestMainAndMarkdown:

@@ -151,12 +151,12 @@ def main() -> None:
         "    python -m repro --store .repro-store serve --port 8321\n"
         "    curl -X POST localhost:8321/sweeps -d '{\"workers\": 4}'\n"
         "\n"
-        "for large single-host sweeps, the numba-compiled backend (an optional\n"
-        "extra: pip install 'repro[compiled]') runs the fused tile kernel\n"
-        "JIT-compiled and parallel, within a documented ULP-scale tolerance\n"
-        "envelope of the float64 reference:\n"
-        "    python -m repro backends                    # list + availability\n"
-        "    python -m repro --backend compiled report"
+        "to trade precision for throughput, the numpy32 backend runs the\n"
+        "execution arithmetic in float32, within a documented tolerance\n"
+        "envelope of the float64 reference (its store artifacts are salted\n"
+        "apart from float64 ones):\n"
+        "    python -m repro backends                    # both backends, policies, salts\n"
+        "    python -m repro --backend numpy32 report"
     )
 
 

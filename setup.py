@@ -12,8 +12,6 @@ an extra's packages at module scope (CI's no-extras smoke job enforces this):
     ========== ===================================== ==========================
     extra      enables                               pulls in
     ========== ===================================== ==========================
-    compiled   the ``compiled`` execution backend    numba
-               (numba-JIT fused tile executor)
     server     the FastAPI app factory + uvicorn     fastapi, uvicorn
                deployment path of ``repro serve``
                (the stdlib HTTP fallback runs
@@ -35,11 +33,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={
-        # The numba-compiled execution backend (`--backend compiled`).
-        # Without it the backend stays registered-but-unavailable and
-        # resolving it names this extra:
-        #     pip install 'repro[compiled]'
-        "compiled": ["numba>=0.58"],
         # The HTTP experiment service (repro.server) runs without these —
         # `repro serve` falls back to a stdlib HTTP server — but the FastAPI
         # app factory and uvicorn deployment path need them:

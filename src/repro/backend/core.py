@@ -1,36 +1,34 @@
-"""Execution-backend protocol, precision policies, registry and resolution.
+"""Execution backends: the numpy kernels at one of two fixed precisions.
 
 Every kernel of :mod:`repro.engine` funnels its numerical heavy lifting —
-batched matmuls, SVDs, array allocation — through a :class:`Backend`.  A
-backend bundles two orthogonal choices:
+batched matmuls, SVDs, array allocation — through a :class:`Backend`: the
+numpy implementation of the execution surface at a **precision policy**
+(:class:`PrecisionPolicy`), i.e. the dtype the execution arithmetic runs in,
+together with the documented tolerance envelopes that precision guarantees
+against the float64 reference, and the store-salt token that keeps
+artifacts of different precisions from ever colliding.
 
-* a **precision policy** (:class:`PrecisionPolicy`): the dtype the execution
-  arithmetic runs in, together with the documented tolerance envelopes that
-  precision guarantees against the float64 reference, and the store-salt
-  token that keeps artifacts of different precisions from ever colliding;
-* an **execution strategy**: how the stacked-tile batched matmul is
-  dispatched (one ``numpy.matmul`` gufunc call, or the chunked tile executor
-  of :class:`repro.backend.threaded.ThreadedBackend`).
+Two backends exist, one per precision:
 
-Backends are registered by name and resolved in a fixed precedence order:
+* ``numpy64`` — the float64 reference, bit-identical to the engine before
+  backends existed (the ENGINE.md equivalence contract);
+* ``numpy32`` — execution arithmetic in float32 within documented tolerance
+  envelopes, fingerprint-salted so its store artifacts never collide with
+  float64 ones.
+
+A backend is resolved in a fixed precedence order:
 
 1. an explicit ``backend=`` argument (a name or a :class:`Backend` instance),
-2. the process default installed by :func:`using_backend` /
-   :func:`set_default_backend` (the CLI's global ``--backend`` flag),
-3. the ``$REPRO_BACKEND`` environment variable,
-4. the built-in default, ``numpy64``.
-
-The ``numpy64`` backend is the reference: bit-identical to the engine before
-backends existed.  Every backend whose policy is ``bit_identical`` (currently
-``numpy64`` and ``threaded``) shares store fingerprints; ``numpy32`` salts
-its fingerprints with its precision token so warm artifacts from different
-precisions never collide (see ENGINE.md, "Execution backends").
+2. the innermost open :func:`using_backend` scope (the CLI's global
+   ``--backend`` flag opens one around every command),
+3. the process default installed by :func:`set_default_backend`,
+4. the ``$REPRO_BACKEND`` environment variable,
+5. the built-in default, ``numpy64``.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
@@ -39,18 +37,13 @@ import numpy as np
 
 __all__ = [
     "ENV_VAR",
-    "THREADS_ENV_VAR",
     "DEFAULT_BACKEND_NAME",
     "FLOAT64_POLICY",
     "FLOAT32_POLICY",
     "PrecisionPolicy",
     "TileLayout",
     "Backend",
-    "BackendUnavailableError",
-    "NumpyBackend",
-    "register_backend",
     "backend_names",
-    "backend_availability",
     "backend_policy",
     "get_backend",
     "resolve_backend",
@@ -65,9 +58,6 @@ __all__ = [
 
 #: Environment variable naming the default execution backend.
 ENV_VAR = "REPRO_BACKEND"
-
-#: Environment variable bounding the threaded backend's worker count.
-THREADS_ENV_VAR = "REPRO_BACKEND_THREADS"
 
 #: The reference backend every session starts on.
 DEFAULT_BACKEND_NAME = "numpy64"
@@ -162,16 +152,15 @@ class TileLayout:
 
 
 class Backend:
-    """Protocol + shared numpy implementation of the execution surface.
+    """The numpy implementation of the execution surface at one precision.
 
-    The execution engine calls exactly these operations; anything heavier a
-    future accelerator backend needs (tiling, device transfer) hides behind
-    them.  The base class implements the whole surface with numpy at the
-    policy's dtype, so concrete backends only override what they accelerate.
+    The execution engine calls exactly these operations, each computed with
+    numpy at ``policy.dtype``.
     """
 
-    name: str = "backend"
-    policy: PrecisionPolicy = FLOAT64_POLICY
+    def __init__(self, name: str, policy: PrecisionPolicy) -> None:
+        self.name = name
+        self.policy = policy
 
     # ------------------------------------------------------------------
     # Array allocation / casting
@@ -197,10 +186,7 @@ class Backend:
         """Stacked matmul over leading (broadcastable) batch axes.
 
         The engine's hot path: ``(R|1, T, batch, rows) @ (R, T, rows, cols)``
-        over every trial and allocated tile.  Implementations must compute
-        every batch slice with the same per-slice reduction ``numpy.matmul`` uses,
-        so bit-identical policies stay bit-identical regardless of how the
-        batch axis is scheduled.
+        over every trial and allocated tile.
         """
         return np.matmul(self.asarray(a), self.asarray(b))
 
@@ -229,12 +215,11 @@ class Backend:
         cols)``; a single programming has ``trials == 1``.  Returns
         ``(trials, batch, out_dim)``.
 
-        The base implementation is the reference: gather each tile's input
-        segment, run one batched matmul over all (trial, tile, vector)
-        triples, rescale, ADC-quantize, then scatter-add the per-tile partial
-        sums **serially in allocation order**.  Overrides may schedule tiles
-        differently but must reproduce this reduction order bit-for-bit at
-        equal precision (see ENGINE.md, "Execution backends").
+        Gathers each tile's input segment, runs one batched matmul over all
+        (trial, tile, vector) triples, rescales, ADC-quantizes, then
+        scatter-adds the per-tile partial sums **serially in allocation
+        order** — the reduction order of the per-tile oracle (see ENGINE.md,
+        "Execution backends").
         """
         trials = diff.shape[0]
         batch = x.shape[-2]
@@ -264,180 +249,59 @@ class Backend:
             result[..., start : start + length] += outputs[..., t, :, :length]
         return result
 
+
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name!r} ({self.policy.name})>"
 
 
-class NumpyBackend(Backend):
-    """Plain numpy execution at a fixed precision policy."""
-
-    def __init__(self, name: str, policy: PrecisionPolicy) -> None:
-        self.name = name
-        self.policy = policy
-
-
-class BackendUnavailableError(ValueError):
-    """A *registered* backend whose optional dependency is missing.
-
-    Subclasses :class:`ValueError` so every existing call site that treats a
-    bad ``--backend`` / ``$REPRO_BACKEND`` / sweep-spec value as a user error
-    (CLI ``parser.error``, server 400) handles "installed package lacks the
-    extra" the same way as "no such backend" — with a message that names the
-    pip extra to install instead of a traceback.
-    """
-
-    def __init__(self, name: str, reason: str, install_hint: Optional[str]) -> None:
-        message = f"execution backend {name!r} is unavailable: {reason}"
-        if install_hint:
-            message = f"{message} (install it with: {install_hint})"
-        super().__init__(message)
-        self.backend_name = name
-        self.reason = reason
-        self.install_hint = install_hint
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Callable[[], Backend]] = {}
-_POLICIES: Dict[str, PrecisionPolicy] = {}
-_INSTANCES: Dict[str, Backend] = {}
-#: Optional availability probe per backend: returns ``None`` when the
-#: backend can run here, else a short human-readable reason it cannot.
-_AVAILABILITY: Dict[str, Callable[[], Optional[str]]] = {}
-#: Optional pip-install hint per backend, surfaced by BackendUnavailableError.
-_HINTS: Dict[str, str] = {}
-_REGISTRY_LOCK = threading.Lock()
+#: The backends, one per precision, keyed by name.
+_BACKENDS: Dict[str, Backend] = {
+    name: Backend(name, policy)
+    for name, policy in (("numpy64", FLOAT64_POLICY), ("numpy32", FLOAT32_POLICY))
+}
 
 #: Open using_backend scopes, innermost last.  Entries are unique token
-#: objects paired with a backend (a registered name, or a Backend instance
-#: passed directly — custom instances scope as themselves); scope exit
-#: removes its own token (by
-#: identity) rather than popping the top, so scopes that happen to unwind
-#: out of push order — e.g. from different threads — never corrupt each
-#: other.  The scoped default is deliberately process-wide, not
-#: thread-local: a scope wrapping a parallel sweep must be visible to the
-#: pool's worker threads.  Concurrently open scopes naming *different*
-#: backends are therefore unsupported (the innermost push wins globally) —
-#: pass ``backend=`` explicitly instead of nesting scopes across threads.
-_SCOPES: List[Tuple[object, Union[str, "Backend"]]] = []
+#: objects paired with a backend; scope exit removes its own token (by
+#: identity) rather than popping the top, so scopes that unwind out of push
+#: order never corrupt each other.  The stack is deliberately process-wide,
+#: not thread-local: ``repro --backend NAME serve`` opens its scope on the
+#: main thread, and the server's HTTP handler and job threads must resolve
+#: their default backend through it.  Jobs that open scopes of their own are
+#: serialized across different backends by the job queue's admission gate
+#: (:mod:`repro.server.queue`); any other concurrent scopes naming
+#: *different* backends are unsupported (the innermost push wins globally)
+#: — pass ``backend=`` explicitly instead.
+_SCOPES: List[Tuple[object, Backend]] = []
 
-#: Process-wide default installed by set_default_backend (the CLI's
-#: ``--backend``); sits under every open scope and over ``$REPRO_BACKEND``.
+#: Process-wide default installed by set_default_backend; sits under every
+#: open scope and over ``$REPRO_BACKEND``.
 _PROCESS_DEFAULT: Optional[str] = None
 
 
-def register_backend(
-    name: str,
-    factory: Callable[[], Backend],
-    policy: PrecisionPolicy,
-    *,
-    availability: Optional[Callable[[], Optional[str]]] = None,
-    install_hint: Optional[str] = None,
-) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    ``policy`` is declared alongside the factory so policy-level questions —
-    notably the store-salt tokens ``valid_salts()`` needs for ``ls``/``gc``
-    staleness — never require *constructing* the backend (a misconfigured
-    ``$REPRO_BACKEND_THREADS`` must not break store maintenance under an
-    unrelated backend).
-
-    ``availability`` lets a backend with an optional native dependency
-    register unconditionally (so it is always *listed*, and its salt token
-    always counts as valid for store maintenance) while deferring the import
-    to first use: the probe returns ``None`` when the backend can run in this
-    environment, else a short reason string.  Resolving an unavailable
-    backend raises :class:`BackendUnavailableError` naming ``install_hint``
-    (e.g. ``pip install 'repro[compiled]'``) instead of crashing on import.
-    """
-    with _REGISTRY_LOCK:
-        _REGISTRY[name] = factory
-        _POLICIES[name] = policy
-        _INSTANCES.pop(name, None)
-        _AVAILABILITY.pop(name, None)
-        _HINTS.pop(name, None)
-        if availability is not None:
-            _AVAILABILITY[name] = availability
-        if install_hint is not None:
-            _HINTS[name] = install_hint
-
-
 def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def backend_availability() -> Dict[str, Optional[str]]:
-    """Availability of every registered backend, sorted by name.
-
-    Maps each name to ``None`` (available) or the probe's reason string
-    (unavailable).  Probes run outside the registry lock and never construct
-    the backend, so listing availability is always safe — even when a probe
-    is what would fail.
-    """
-    with _REGISTRY_LOCK:
-        probes = {name: _AVAILABILITY.get(name) for name in sorted(_REGISTRY)}
-    return {
-        name: (probe() if probe is not None else None)
-        for name, probe in probes.items()
-    }
-
-
-def backend_policy(name: str) -> PrecisionPolicy:
-    """The declared precision policy of ``name`` (never constructs it)."""
-    with _REGISTRY_LOCK:
-        policy = _POLICIES.get(name)
-    if policy is None:
-        known = ", ".join(backend_names()) or "<none>"
-        raise ValueError(
-            f"unknown execution backend {name!r}; registered backends: {known} "
-            f"(select one with --backend or ${ENV_VAR})"
-        )
-    return policy
+    """The backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 def get_backend(name: str) -> Backend:
-    """The (process-wide, memoized) backend registered under ``name``.
-
-    A backend registered with an availability probe is checked first; an
-    unavailable one raises :class:`BackendUnavailableError` (a ValueError)
-    with its install hint rather than letting the factory crash on import.
-    """
-    with _REGISTRY_LOCK:
-        instance = _INSTANCES.get(name)
-        if instance is not None:
-            return instance
-        factory = _REGISTRY.get(name)
-        probe = _AVAILABILITY.get(name)
-        hint = _HINTS.get(name)
-    if factory is None:
-        known = ", ".join(backend_names()) or "<none>"
+    """The backend named ``name``; an unknown name lists the known ones."""
+    backend = _BACKENDS.get(name)
+    if backend is None:
         raise ValueError(
-            f"unknown execution backend {name!r}; registered backends: {known} "
-            f"(select one with --backend or ${ENV_VAR})"
+            f"unknown execution backend {name!r}; known backends: "
+            f"{', '.join(backend_names())} (select one with --backend or ${ENV_VAR})"
         )
-    # Probe and construct outside the lock: probes may import, factories may
-    # spin up thread pools, and neither should serialize unrelated lookups.
-    if probe is not None:
-        reason = probe()
-        if reason is not None:
-            raise BackendUnavailableError(name, reason, hint)
-    instance = factory()
-    with _REGISTRY_LOCK:
-        # Another thread may have raced us through the same factory; keep
-        # the first instance so memoization stays process-wide stable.
-        return _INSTANCES.setdefault(name, instance)
+    return backend
+
+
+def backend_policy(name: str) -> PrecisionPolicy:
+    """The precision policy of the backend named ``name``."""
+    return get_backend(name).policy
 
 
 def registered_salt_tokens() -> Tuple[str, ...]:
-    """Every distinct store-salt token a registered backend can write under.
-
-    Read from the declared policies, never from instances — see
-    :func:`register_backend`.
-    """
-    with _REGISTRY_LOCK:
-        return tuple(sorted({policy.salt_token for policy in _POLICIES.values()}))
+    """Every distinct store-salt token a backend can write artifacts under."""
+    return tuple(sorted({backend.policy.salt_token for backend in _BACKENDS.values()}))
 
 
 # ----------------------------------------------------------------------
@@ -446,8 +310,7 @@ def registered_salt_tokens() -> Tuple[str, ...]:
 def default_backend_name() -> str:
     """The active default: open scope > process default > ``$REPRO_BACKEND`` > ``numpy64``."""
     if _SCOPES:
-        scoped = _SCOPES[-1][1]
-        return scoped if isinstance(scoped, str) else scoped.name
+        return _SCOPES[-1][1].name
     if _PROCESS_DEFAULT is not None:
         return _PROCESS_DEFAULT
     return os.environ.get(ENV_VAR) or DEFAULT_BACKEND_NAME
@@ -468,10 +331,8 @@ def set_default_backend(name: Optional[str]) -> None:
 def active_backend() -> Backend:
     """The backend every unqualified construction resolves to right now."""
     if _SCOPES:
-        scoped = _SCOPES[-1][1]
-        # A Backend instance scopes as itself (its configuration included);
-        # a name resolves through the registry.
-        return get_backend(scoped) if isinstance(scoped, str) else scoped
+        # A Backend instance passed to using_backend scopes as itself.
+        return _SCOPES[-1][1]
     return get_backend(default_backend_name())
 
 
@@ -481,7 +342,7 @@ def active_precision() -> str:
 
 
 def active_salt_token() -> str:
-    """The active backend's store-salt token ('' for the float64 family)."""
+    """The active backend's store-salt token ('' for float64)."""
     return active_backend().policy.salt_token
 
 
@@ -500,20 +361,12 @@ def using_backend(spec: Union[str, Backend, None]) -> Iterator[Backend]:
 
     ``None`` is a no-op scope (the surrounding default stays active), which
     lets every harness accept ``backend=None`` and simply wrap its body.
-    The scope is process-wide — worker threads a wrapped sweep spawns see it
-    — so do not open scopes naming *different* backends concurrently from
-    separate threads (see the ``_SCOPES`` note above).
+    The scope is process-wide (see the ``_SCOPES`` note above).
     """
     if spec is None:
         yield active_backend()
         return
-    if isinstance(spec, Backend):
-        # A passed instance becomes the scoped default as-is — its own
-        # configuration (e.g. a custom worker bound) included, registered
-        # or not.
-        backend: Union[str, Backend] = spec
-    else:
-        backend = get_backend(str(spec))
+    backend = resolve_backend(spec)
     token = object()
     _SCOPES.append((token, backend))
     try:

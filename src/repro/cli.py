@@ -29,15 +29,11 @@ store as their shared medium::
     python -m repro --store .repro-store store clear  # start cold
 
 ``--backend NAME`` (or ``$REPRO_BACKEND``) selects the execution backend for
-every kernel and SVD: ``numpy64`` (default float64 reference), ``threaded``
-(multicore tile executor, bit-identical to numpy64), ``numpy32`` (float32
-precision policy; its store artifacts are salted separately) or ``compiled``
-(numba-JIT fused tile executor — requires the ``repro[compiled]`` extra;
-without it the backend is listed but resolving it explains what to
-install).  ``repro backends`` lists every registered backend with its
-precision policy and availability on this host::
+every kernel and SVD: ``numpy64`` (default float64 reference) or ``numpy32``
+(float32 precision policy; its store artifacts are salted separately).
+``repro backends`` lists both with their precision policies::
 
-    python -m repro --backend threaded report
+    python -m repro --backend numpy32 report
     REPRO_BACKEND=numpy32 python -m repro robustness --trials 16
     python -m repro backends
 
@@ -77,7 +73,6 @@ import argparse
 from typing import Optional, Sequence
 
 from .backend import (
-    backend_availability,
     backend_names,
     backend_policy,
     default_backend_name,
@@ -161,22 +156,19 @@ def _store_text(args: argparse.Namespace, store: ExperimentStore) -> str:
 
 
 def _backends_text() -> str:
-    """One line per registered backend: policy, salt, availability.
+    """One line per execution backend: precision policy, contract, salt.
 
-    Reads only declared policies and availability probes — never constructs
-    a backend — so the listing works (and diagnoses) even when the currently
-    selected backend is the unavailable one.
+    Reads only the fixed policy table, so the listing works even when
+    ``--backend`` / ``$REPRO_BACKEND`` names an unknown backend.
     """
-    availability = backend_availability()
-    default = default_backend_name()
-    lines = [f"{len(availability)} registered execution backends (default: {default})"]
-    for name, reason in availability.items():
+    names = backend_names()
+    lines = [f"{len(names)} execution backends (default: {default_backend_name()})"]
+    for name in names:
         policy = backend_policy(name)
         contract = "bit-identical" if policy.bit_identical else "tolerance envelope"
-        status = "available" if reason is None else f"unavailable: {reason}"
         lines.append(
             f"  {name:10s} {policy.name:14s} {contract:19s} "
-            f"salt={policy.salt_token or '<none>':10s} {status}"
+            f"salt={policy.salt_token or '<none>'}"
         )
     return "\n".join(lines)
 
@@ -237,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser(
         "backends",
-        help="list registered execution backends, their precision policies "
-             "and availability on this host",
+        help="list the execution backends and their precision policies",
     )
 
     fig6 = subparsers.add_parser("fig6", help="reproduce Fig. 6 (vs. pattern pruning)")
@@ -387,15 +378,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "backends":
-        # The diagnostic listing must work precisely when the selected
-        # backend is the broken one (--backend/$REPRO_BACKEND naming an
-        # unavailable or unknown backend), so it dispatches before the
-        # eager resolution below and never constructs a backend.
+        # The listing must work even when --backend/$REPRO_BACKEND names an
+        # unknown backend, so it dispatches before the eager resolution below.
         return _emit(_backends_text(), args)
     try:
-        # Resolve eagerly: an unknown or unavailable --backend (or
-        # $REPRO_BACKEND) must fail with the registered-name listing or the
-        # extras-install hint before any work starts.
+        # Resolve eagerly: an unknown --backend (or $REPRO_BACKEND) must fail
+        # with the known-name listing before any work starts.
         backend = resolve_backend(args.backend)
     except ValueError as error:
         parser.error(str(error))

@@ -142,8 +142,8 @@ class DecompositionCache:
         matrix is first cast to the backend's compute dtype, so the content
         key — and therefore the in-memory entry *and* the persistent
         ``svd`` store token — carries the precision, and float32 factors can
-        never be served where float64 ones are expected.  Bit-identical
-        backends (``numpy64``, ``threaded``) share one entry.
+        never be served where float64 ones are expected.  Backends of one
+        precision share one entry.
         """
         backend = resolve_backend(backend)
         matrix = backend.asarray(matrix)

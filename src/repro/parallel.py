@@ -17,7 +17,7 @@ execution path:
 * the parent **assembles** the finished grid through the ordinary warm-store
   path, which is byte-identical to a cold serial run by the store's headline
   contract — therefore ``--workers 4`` output is byte-identical to
-  ``--workers 1`` under every registered backend.
+  ``--workers 1`` under either backend.
 
 Workers are ``spawn``-safe: a worker inherits nothing but a picklable
 :class:`WorkerSpec` (store root, experiment names, overrides, backend *name*,
@@ -303,7 +303,7 @@ def _worker_entry(spec: WorkerSpec, results: "multiprocessing.SimpleQueue") -> N
 
 
 def _backend_name(backend: Union[str, Backend, None]) -> Optional[str]:
-    """Reduce a backend spec to the registered name a spawned worker resolves."""
+    """Reduce a backend spec to the name a spawned worker resolves."""
     if backend is None or isinstance(backend, str):
         return backend
     return backend.name

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple
 
-from ..backend import BackendUnavailableError, backend_names, resolve_backend
+from ..backend import backend_names, resolve_backend
 from ..experiments.runner import SUITE_EXPERIMENTS
 from ..store import experiment_fingerprint
 from .config import ServerConfig
@@ -144,17 +144,12 @@ def parse_sweep_spec(payload: Any, config: Optional[ServerConfig] = None) -> Swe
         not isinstance(backend, str) or backend not in backend_names()
     ):
         raise SweepSpecError(
-            f"unknown backend {backend!r}; available: {list(backend_names())}"
+            f"unknown backend {backend!r}; known backends: {', '.join(backend_names())}"
         )
     # Normalize to the concrete backend name: an explicit "numpy64" and an
     # omitted backend under a numpy64 default are the same computation, so
-    # they must be the same job.  A registered-but-unavailable backend (an
-    # optional extra not installed on this host) is a client-actionable 400
-    # carrying the install hint — never a job accepted only to fail later.
-    try:
-        backend = resolve_backend(backend).name
-    except BackendUnavailableError as error:
-        raise SweepSpecError(str(error)) from error
+    # they must be the same job.
+    backend = resolve_backend(backend).name
 
     workers = payload.get("workers")
     if workers is None:

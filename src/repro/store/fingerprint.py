@@ -64,8 +64,8 @@ def active_salt() -> str:
     The execution backend's precision policy is folded into the salt
     (``repro-store-v1+float32`` under the ``numpy32`` backend), so warm
     artifacts computed at different precisions can never collide.  The
-    bit-identical float64 family (``numpy64``, ``threaded``) contributes an
-    empty token and shares the base salt — and therefore shares artifacts.
+    float64 reference (``numpy64``) contributes an empty token and keeps the
+    base salt.
     """
     token = active_salt_token()
     base = code_version_salt()
@@ -73,7 +73,7 @@ def active_salt() -> str:
 
 
 def valid_salts() -> FrozenSet[str]:
-    """Every salt a registered backend can currently write artifacts under.
+    """Every salt a backend can currently write artifacts under.
 
     ``ls``/``gc`` staleness is judged against this set rather than the single
     active salt, so collecting garbage under ``numpy64`` never destroys the

@@ -1,8 +1,8 @@
 """Backend selection and resolution precedence tests.
 
-Precedence: explicit argument > process default (``using_backend`` /
-``set_default_backend``, the CLI ``--backend``) > ``$REPRO_BACKEND`` >
-``numpy64``.
+Precedence: explicit argument > open ``using_backend`` scope (the CLI
+``--backend``) > process default (``set_default_backend``) >
+``$REPRO_BACKEND`` > ``numpy64``.
 """
 
 from __future__ import annotations
@@ -10,11 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro.backend import (
+    FLOAT64_POLICY,
     Backend,
     active_backend,
     backend_names,
     default_backend_name,
     get_backend,
+    registered_salt_tokens,
     resolve_backend,
     set_default_backend,
     using_backend,
@@ -30,7 +32,7 @@ def _clean_default():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(backend_names()) >= {"numpy64", "numpy32", "threaded", "compiled"}
+        assert backend_names() == ("numpy32", "numpy64")
 
     def test_instances_are_memoized(self):
         assert get_backend("numpy64") is get_backend("numpy64")
@@ -40,8 +42,7 @@ class TestRegistry:
             get_backend("cuda")
         message = str(excinfo.value)
         assert "unknown execution backend 'cuda'" in message
-        for name in ("numpy64", "numpy32", "threaded"):
-            assert name in message
+        assert "numpy32, numpy64" in message
         assert "REPRO_BACKEND" in message
 
 
@@ -57,15 +58,15 @@ class TestPrecedence:
 
     def test_process_default_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy32")
-        set_default_backend("threaded")
-        assert active_backend().name == "threaded"
+        set_default_backend("numpy64")
+        assert active_backend().name == "numpy64"
 
     def test_using_backend_overrides_env_and_restores(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy32")
         with using_backend("numpy64"):
             assert active_backend().name == "numpy64"
-            with using_backend("threaded"):  # nested scopes stack
-                assert active_backend().name == "threaded"
+            with using_backend("numpy32"):  # nested scopes stack
+                assert active_backend().name == "numpy32"
             assert active_backend().name == "numpy64"
         assert active_backend().name == "numpy32"
 
@@ -86,19 +87,19 @@ class TestPrecedence:
     def test_set_default_inside_open_scope_survives_scope_exit(self, monkeypatch):
         """set_default_backend neither breaks nor is reverted by an open scope."""
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        with using_backend("numpy32"):
-            set_default_backend("threaded")
-            assert active_backend().name == "numpy32"  # scope still wins inside
-        assert active_backend().name == "threaded"  # process default survives
+        with using_backend("numpy64"):
+            set_default_backend("numpy32")
+            assert active_backend().name == "numpy64"  # scope still wins inside
+        assert active_backend().name == "numpy32"  # process default survives
 
     def test_out_of_order_scope_exits_do_not_corrupt(self):
         """Scopes exited out of push order each remove only their own entry."""
-        outer = using_backend("numpy32")
-        inner = using_backend("threaded")
+        outer = using_backend("numpy64")
+        inner = using_backend("numpy32")
         outer.__enter__()
         inner.__enter__()
         outer.__exit__(None, None, None)  # exit outer first
-        assert active_backend().name == "threaded"  # inner scope intact
+        assert active_backend().name == "numpy32"  # inner scope intact
         inner.__exit__(None, None, None)
 
     def test_using_backend_restores_after_exception(self, monkeypatch):
@@ -115,49 +116,21 @@ class TestResolve:
             assert resolve_backend(None).name == "numpy32"
 
     def test_resolves_name(self):
-        assert resolve_backend("threaded").name == "threaded"
+        assert resolve_backend("numpy32").name == "numpy32"
 
     def test_passes_instances_through(self):
-        instance = Backend()
+        instance = Backend("custom64", FLOAT64_POLICY)
         assert resolve_backend(instance) is instance
 
     def test_using_backend_honors_passed_instance(self):
-        """A configured instance — registered-name or custom — scopes as itself."""
-        from repro.backend import NumpyBackend, ThreadedBackend
-        from repro.backend.core import FLOAT64_POLICY
-
-        configured = ThreadedBackend(max_workers=2)
-        with using_backend(configured) as scoped:
-            assert scoped is configured
-            assert active_backend() is configured
-            assert active_backend().max_workers == 2
-        custom = NumpyBackend("custom64", FLOAT64_POLICY)  # never registered
-        with using_backend(custom):
+        """An instance outside the name table scopes as itself."""
+        custom = Backend("custom64", FLOAT64_POLICY)
+        with using_backend(custom) as scoped:
+            assert scoped is custom
             assert active_backend() is custom
+            assert default_backend_name() == "custom64"
 
 
-class TestPolicyRegistry:
-    def test_salt_tokens_do_not_instantiate_backends(self, monkeypatch):
-        """Store ls/gc must survive a broken $REPRO_BACKEND_THREADS.
-
-        Salt tokens are read from the declared policies, so querying them
-        (as valid_salts() does) never constructs the threaded backend.
-        """
-        from repro.backend import registered_salt_tokens
-        from repro.backend.core import _INSTANCES
-
-        monkeypatch.setenv("REPRO_BACKEND_THREADS", "0")
-        monkeypatch.delitem(_INSTANCES, "threaded", raising=False)
-        assert set(registered_salt_tokens()) == {"", "float32", "compiled"}
-        assert "threaded" not in _INSTANCES
-
-    def test_compiled_salt_known_without_numba(self, without_numba):
-        """Store staleness must count 'compiled' valid even when numba is absent.
-
-        The compiled backend's salt token comes from its declared policy, so
-        gc on a host without the extra never treats compiled-salted artifacts
-        (written elsewhere, e.g. on a shared NFS store) as stale garbage.
-        """
-        from repro.backend import registered_salt_tokens
-
-        assert "compiled" in registered_salt_tokens()
+class TestPolicyTable:
+    def test_salt_tokens_come_from_the_two_policies(self):
+        assert registered_salt_tokens() == ("", "float32")

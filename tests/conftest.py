@@ -2,46 +2,11 @@
 
 from __future__ import annotations
 
-import importlib.abc
-import sys
-
 import numpy as np
 import pytest
 
 from repro.mapping.geometry import ArrayDims, ConvGeometry
 from repro.nn.tensor import Tensor
-
-
-class _NumbaBlocker(importlib.abc.MetaPathFinder):
-    """A meta-path finder that makes every numba import fail."""
-
-    def find_spec(self, fullname, path=None, target=None):
-        if fullname == "numba" or fullname.startswith("numba."):
-            raise ModuleNotFoundError(f"import of {fullname!r} blocked by test fixture")
-        return None
-
-
-@pytest.fixture
-def without_numba(monkeypatch):
-    """Simulate a host without numba, regardless of what is installed.
-
-    Blocks numba imports (and ``find_spec`` probes) via a meta-path hook,
-    scrubs any already-imported numba modules, disables the pure-Python
-    kernel seam, and drops the memoized compiled-backend instance — so the
-    registry's availability probe reports the backend unavailable exactly as
-    it would on a machine without the ``repro[compiled]`` extra.
-    """
-    from repro.backend.core import _INSTANCES
-
-    monkeypatch.delenv("REPRO_COMPILED_PUREPY", raising=False)
-    for name in [m for m in sys.modules if m == "numba" or m.startswith("numba.")]:
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    monkeypatch.setattr(sys, "meta_path", [_NumbaBlocker()] + sys.meta_path)
-    monkeypatch.delitem(_INSTANCES, "compiled", raising=False)
-    yield
-    # The instance memoized while blocked (none today: unavailable backends
-    # never construct) must not leak into tests that expect a working JIT.
-    _INSTANCES.pop("compiled", None)
 
 
 @pytest.fixture

@@ -1,14 +1,14 @@
 """Precision-policy-aware assertion helpers for the engine equivalence suites.
 
-The equivalence suites run in CI under every registered execution backend
-(``REPRO_BACKEND=numpy64|threaded|numpy32``).  Everything *deterministic*
+The equivalence suites run in CI under both execution backends
+(``REPRO_BACKEND=numpy64|numpy32``).  Everything *deterministic*
 (programmed conductances, stored matrices, tile counts, energies) stays
 bit-identical under every backend — the precision policy governs execution
 arithmetic only — so those assertions need no relaxation.  Analog *output*
 comparisons against the float64 oracle use the active policy's documented
 tolerance envelope (see :class:`repro.backend.PrecisionPolicy` and ENGINE.md):
-BLAS associativity bounds for the bit-identical float64 family, the float32
-envelope in numpy32 tolerance mode.
+BLAS associativity bounds for the bit-identical float64 reference, the
+float32 envelope in numpy32 tolerance mode.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ Under a non-bit-identical execution backend (``REPRO_BACKEND=numpy32``) the
 suite runs in **tolerance mode**: every float tolerance is widened by the
 active precision policy's documented ``golden_scale`` (the float32 envelope —
 see ENGINE.md, "Execution backends"); integer metrics stay exact.  The
-bit-identical backends (``numpy64``, ``threaded``) keep the float64 envelope
-unchanged, which is what the CI backend-parity matrix asserts.
+bit-identical ``numpy64`` backend keeps the float64 envelope unchanged,
+which is what the CI backend-parity matrix asserts.
 
 Regenerate the snapshot after an *intentional* numeric change with::
 

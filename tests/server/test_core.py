@@ -88,16 +88,6 @@ class TestRouting:
         response = core.handle("POST", "/sweeps", b" " * (65 * 1024))
         assert response.status == 413
 
-    def test_unavailable_backend_is_a_400_with_the_install_hint(self, core, without_numba):
-        """A sweep naming an uninstalled optional backend is a client error
-        carrying the pip extra — never a job accepted only to fail later."""
-        response = core.handle("POST", "/sweeps", b'{"backend": "compiled"}')
-        assert response.status == 400
-        error = decode(response)["error"]
-        assert "unavailable" in error and "repro[compiled]" in error
-        document = decode(core.handle("GET", "/healthz"))
-        assert document["jobs"]["queued"] == 0 and document["jobs"]["running"] == 0
-
     def test_unknown_job_is_a_404(self, core):
         assert core.handle("GET", "/jobs/deadbeef").status == 404
         assert core.handle("GET", "/jobs/deadbeef/report").status == 404

@@ -64,35 +64,6 @@ class TestParsing:
             parse_sweep_spec(payload, CONFIG)
 
 
-class TestOptionalBackendAvailability:
-    def test_unavailable_backend_rejected_with_install_hint(self, without_numba):
-        """The spec parser refuses a registered-but-unavailable backend at
-        submission time, naming the extra that would make it runnable."""
-        with pytest.raises(SweepSpecError, match=r"repro\[compiled\]"):
-            parse_sweep_spec({"backend": "compiled"}, CONFIG)
-
-    def test_unknown_backend_still_distinct_from_unavailable(self, without_numba):
-        with pytest.raises(SweepSpecError, match="unknown backend"):
-            parse_sweep_spec({"backend": "cuda"}, CONFIG)
-
-    def test_available_compiled_backend_accepted(self, monkeypatch):
-        """With the backend runnable (here via the pure-Python seam), the
-        spec normalizes and fingerprints like any other backend."""
-        from repro.backend.core import _INSTANCES
-
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
-        monkeypatch.delitem(_INSTANCES, "compiled", raising=False)
-        try:
-            spec = parse_sweep_spec({"backend": "compiled"}, CONFIG)
-            assert spec.backend == "compiled"
-            default = parse_sweep_spec({}, CONFIG)
-            assert spec_fingerprint(spec) != spec_fingerprint(default)
-        finally:
-            # Drop the seam-configured instance so later tests (or the JIT
-            # battery on a numba host) construct their own.
-            _INSTANCES.pop("compiled", None)
-
-
 class TestFingerprint:
     def test_identical_specs_share_a_job_id(self):
         a = parse_sweep_spec({"trials": 4, "arrays": [64]}, CONFIG)

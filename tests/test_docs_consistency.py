@@ -74,3 +74,23 @@ class TestCheckDocs:
         options = module.cli_options(module.build_parser())
         assert {"--store", "--shard", "--scenarios", "--families"} <= options
         assert module.unknown_flags(document, options) == ["1: --jobs", "5: --familes"]
+
+    def test_unknown_backends_detects_a_name_the_table_lacks(self, tmp_path):
+        """Every ``--backend NAME`` / ``REPRO_BACKEND=NAME`` is checked, each
+        ``a|b`` alternative on its own; upper-case placeholders are not names."""
+        document = tmp_path / "doc.md"
+        document.write_text(
+            "python -m repro --backend numpy32 report\n"
+            "python -m repro --backend threaded report\n"
+            "REPRO_BACKEND=compiled python -m repro table1\n"
+            "`--backend NAME` (or `$REPRO_BACKEND`) picks the backend\n"
+            "suites run under `REPRO_BACKEND=numpy64|threaded|numpy32`\n"
+            "python -m repro --backend=cuda fig8\n"
+        )
+        module = _load_module()
+        assert module.unknown_backends(document, module.backend_names()) == [
+            "2: threaded",
+            "3: compiled",
+            "5: threaded",
+            "6: cuda",
+        ]

@@ -2,13 +2,13 @@
 
 The ``pip install .`` contract: a no-extras install runs every core entry
 point with numpy alone.  That only holds if importing the package — and the
-modules that *gate* optional features, like the backend registry and the
-server package — never executes ``import numba`` / ``import fastapi`` at
-module scope.  Each case runs in a fresh interpreter so this suite's own
-imports cannot mask a violation, and asserts against ``sys.modules`` so a
-lazy import hidden behind a function stays legal while a module-scope one
-fails loudly.  CI's no-extras smoke job runs the same check from a clean
-venv where the optional packages are not even installed.
+modules that *gate* optional features, like the server package — never
+executes ``import numba`` / ``import fastapi`` at module scope.  Each case
+runs in a fresh interpreter so this suite's own imports cannot mask a
+violation, and asserts against ``sys.modules`` so a lazy import hidden
+behind a function stays legal while a module-scope one fails loudly.  CI's
+no-extras smoke job runs the same check from a clean venv where the
+optional packages are not even installed.
 """
 
 from __future__ import annotations
@@ -62,13 +62,12 @@ def test_import_does_not_load_optional_deps(module, forbidden):
 
 
 def test_backend_listing_works_in_fresh_interpreter():
-    """`repro backends` plumbing — registry + availability — with no extras."""
+    """`repro backends` plumbing — the two-entry policy table — with no extras."""
     script = (
-        "from repro.backend import backend_availability, backend_names\n"
+        "from repro.backend import backend_names, backend_policy\n"
         "names = backend_names()\n"
-        "assert 'compiled' in names, names\n"
-        "availability = backend_availability()\n"
-        "assert set(availability) == set(names)\n"
+        "assert set(names) == {'numpy32', 'numpy64'}, names\n"
+        "assert [backend_policy(name).dtype for name in names] == ['float32', 'float64']\n"
     )
     result = _run_fresh(script)
     assert result.returncode == 0, result.stderr

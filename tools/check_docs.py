@@ -14,7 +14,10 @@ the documents that promise to list it:
 * every ``--flag`` on a ``repro`` command line in README.md, ENGINE.md and
   ``docs/*.md`` must be an option that ``repro.cli.build_parser()`` or one of
   its subcommand parsers defines (a documented flag that no longer exists
-  ships a broken example).
+  ships a broken example);
+* every backend those documents select with ``--backend NAME`` or
+  ``REPRO_BACKEND=NAME`` must be one of ``backend_names()`` (a removed
+  backend in an example fails before any work starts).
 
 Run from the repository root (CI does, via the docs-consistency job)::
 
@@ -79,6 +82,24 @@ def unknown_flags(document: Path, options: Set[str]) -> List[str]:
     return unknown
 
 
+#: A backend selected by name: ``--backend NAME``, ``--backend=NAME`` or
+#: ``REPRO_BACKEND=NAME``.  ``a|b`` alternatives are checked one by one; an
+#: upper-case placeholder (``--backend NAME``) is not a name.
+_BACKEND_CHOICE = re.compile(r"(?:--backend[ =]|REPRO_BACKEND=)(?P<names>[a-z][\w|]*)")
+
+
+def unknown_backends(document: Path, names: Sequence[str]) -> List[str]:
+    """``"<line>: <name>"`` for each selected backend ``names`` lacks."""
+    unknown = []
+    lines = document.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        for choice in _BACKEND_CHOICE.finditer(line):
+            for name in choice.group("names").split("|"):
+                if name not in names:
+                    unknown.append(f"{number}: {name}")
+    return unknown
+
+
 def main() -> int:
     experiments = tuple(sorted(experiment_registry()))
     backends = tuple(backend_names())
@@ -110,6 +131,8 @@ def main() -> int:
             relative = document.relative_to(REPO_ROOT)
             for where in unknown_flags(document, options):
                 failures.append(f"{relative}:{where} is not a repro CLI option")
+            for where in unknown_backends(document, backends):
+                failures.append(f"{relative}:{where} is not an execution backend")
 
     if failures:
         print("docs-consistency check FAILED:", file=sys.stderr)
@@ -126,7 +149,7 @@ def main() -> int:
         "docs-consistency OK: "
         f"{len(experiments)} experiments, {len(backends)} backends, "
         f"{len(networks)} networks all documented; "
-        f"every documented repro flag exists"
+        f"every documented repro flag and backend exists"
     )
     return 0
 
